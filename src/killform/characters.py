@@ -26,7 +26,8 @@ from .errors import (
     OrthogonalityFailure,
     ProjectorMismatch,
 )
-from .exactlinalg import _is_prime, _rref_mod_p
+from .exactlinalg import _eliminate, _is_prime
+from .gf import _least_primitive_root
 from .groups import ConjClass, Group
 from .killing import KillingForm
 
@@ -327,34 +328,13 @@ def _charpoly_mod(R: np.ndarray, p: int) -> list[int]:
     return polys[n]
 
 
-def _nullspace_dense(A: np.ndarray, p: int) -> np.ndarray:
-    """Columns spanning the nullspace of a square matrix mod p."""
-    M = np.mod(np.array(A, dtype=np.int64), p)
-    n = M.shape[1]
-    _, pivots = _rref_mod_p(M, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    cols = []
-    for f in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for row_idx, c in enumerate(pivots):
-            v[c] = (-int(M[row_idx, f])) % p
-        cols.append(v)
-    if not cols:
-        return np.zeros((n, 0), dtype=np.int64)
-    return np.stack(cols, axis=1)
-
-
 def _restricted_action(Mi: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """R with Mi @ B = B @ R (mod p); B has full column rank and Mi-invariant image."""
-    C = _matmul_mod(Mi, B, p)
     r = B.shape[1]
-    aug = np.concatenate([B, C], axis=1).astype(np.int64) % p
-    rank, pivots = _rref_mod_p(aug, p)
-    if rank != r or pivots[:r] != list(range(r)):
+    rank, pivots, N = _eliminate(np.concatenate([B, _matmul_mod(Mi, B, p)], axis=1), p)
+    if rank != r or pivots != list(range(r)):
         raise OrthogonalityFailure("subspace basis degenerated during splitting")
-    return aug[:r, r:]
+    return -N[:r] % p  # N = [-R; I] spans the nullspace of [B | Mi B]
 
 
 def _common_eigenvectors(Ms: list[np.ndarray], p: int, seed: int = 0xD1C0) -> list[np.ndarray]:
@@ -378,7 +358,7 @@ def _common_eigenvectors(Ms: list[np.ndarray], p: int, seed: int = 0xD1C0) -> li
                 continue
             for lam in roots:
                 shifted = (R - lam * np.eye(R.shape[0], dtype=np.int64)) % p
-                N = _nullspace_dense(shifted, p)
+                N = _eliminate(shifted, p)[2]
                 if N.shape[1]:
                     nxt.append(_matmul_mod(B, N, p))
         spaces = nxt
@@ -393,24 +373,6 @@ def _common_eigenvectors(Ms: list[np.ndarray], p: int, seed: int = 0xD1C0) -> li
         inv = pow(int(v[0]), p - 2, p)
         out.append((v * inv) % p)
     return out
-
-
-def _primitive_root(p: int) -> int:
-    fac = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise NoSuitablePrime(f"no primitive root mod {p}")  # unreachable for prime p
 
 
 # --------------------------------------------------------------- Dixon proper
@@ -481,7 +443,7 @@ def character_table(G: Group, cap: int = CLASS_CAP) -> CharTable:
         raise OrthogonalityFailure(
             f"degree squares sum to {sum(d * d for d, _ in rows)}, not |G| = {G.order}")
 
-    w = _primitive_root(p)
+    w = _least_primitive_root(p)
     z = pow(w, (p - 1) // n, p)
     orders = [c.element_order for c in classes]
     power_class = []

@@ -1,11 +1,14 @@
 """Exact and floating linear algebra for symmetric integer matrices.
 
-Rank is certified exactly without full big-integer elimination: a mod-p
-elimination bounds the rank from below (a pivot minor nonzero mod p is nonzero
-over Q) and, when the matrix is singular, supplies a candidate nullspace which
-is CRT-lifted to rationals and then verified in exact arithmetic; the verified
-nullity bounds the rank from above.  Fraction-free Bareiss remains as the
-small-dimension path and as an independent oracle.
+All elimination mod p goes through one blocked routine, `_eliminate`, which
+returns the rank, the pivot columns and a nullspace basis over GF(p).  Rank is
+certified exactly without full big-integer elimination: the rank mod a random
+22-bit prime bounds the rank from below (a pivot minor nonzero mod p is nonzero
+over Q).  When the matrix is singular mod p, nullspaces mod further 22-bit
+primes (small enough that the float64 panel updates stay exact) are CRT-lifted
+to rationals, and each lifted vector is verified exactly by matvecs mod 31-bit
+primes; the verified nullity bounds the rank from above.  Fraction-free Bareiss
+remains as the small-dimension path and as an independent oracle.
 
 Floating eigenwork goes through LAPACK (numpy.linalg.eigh).
 """
@@ -126,155 +129,109 @@ def random_prime_22(rng: random.Random) -> int:
 # mod-p elimination (int64 is safe: entries in [0,p), p < 2**31, so products
 # stay under 2**62 before each reduction)
 
-def _echelon_rank_mod_p(A: np.ndarray, p: int):
-    """Destructive row echelon form over GF(p); returns (rank, pivot_cols)."""
-    n_rows, n_cols = A.shape
-    r = 0
-    pivots = []
-    for col in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.nonzero(A[r:, col])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, col]), p - 2, p)
-        A[r, col:] = A[r, col:] * inv % p
-        sub = A[r + 1 :, col:]
-        if sub.size:
-            sub -= A[r + 1 :, col, None] * A[r, col:][None, :]
-            sub %= p
-        pivots.append(col)
-        r += 1
-    return r, pivots
-
-
-def _rref_mod_p(A: np.ndarray, p: int):
-    """Destructive reduced row echelon form over GF(p); returns (rank, pivot_cols)."""
-    n_rows, n_cols = A.shape
-    r = 0
-    pivots = []
-    for col in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.nonzero(A[r:, col])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, col]), p - 2, p)
-        A[r, col:] = A[r, col:] * inv % p
-        mult = A[:, col].copy()
-        mult[r] = 0
-        if np.any(mult):
-            A[:, col:] -= mult[:, None] * A[r, col:][None, :]
-            A[:, col:] %= p
-        pivots.append(col)
-        r += 1
-    return r, pivots
-
-
 def _gf_block_width(p: int, cap: int = 256) -> int:
     # dot products of length b over entries < p must stay below 2**53 so the
     # float64 matmul is exact
     return min(cap, (1 << 53) // (p * p))
 
 
-def _echelon_rank_blocked(A: np.ndarray, p: int, block: int) -> int:
-    """Echelon rank over GF(p) with BLAS-backed Schur updates.
+def _eliminate(A: np.ndarray, p: int) -> tuple[int, list[int], np.ndarray]:
+    """Rank, pivot columns and nullspace of A over GF(p); A is not modified.
 
-    The panel factorization mirrors the scalar routine; trailing columns are
-    updated once per panel via an exact float64 matmul.  The moment a panel
-    column has no pivot (a rank drop), pending updates are flushed and the
-    scalar routine finishes the remaining submatrix, so skipped columns never
-    reach the blocked path.
+    Blocked LU-style elimination in the manner of FFLAS-FFPACK (Dumas, Giorgi,
+    Pernet).  Each panel of `_gf_block_width(p)` columns is reduced column by
+    column; a column with no pivot is skipped, and the multipliers stay below
+    the pivots as the L factor.  The trailing columns then take one Schur
+    update per panel as an exact float64 matmul.  The nullspace is solved from
+    the echelon rows by a blocked back-substitution; its columns are the
+    identity on the free columns, so they are the vectors the reduced row
+    echelon form gives.  Below width 8 one panel covers the whole matrix and
+    every int64 product is reduced mod p before anything is added to it.
     """
+    A = np.mod(np.asarray(A, dtype=np.int64), p)
     n_rows, n_cols = A.shape
+    width = _gf_block_width(p)
+    if width < 8:
+        width = max(n_cols, 1)
+    pivots: list[int] = []
     r0 = 0
-    c0 = 0
-    while r0 < n_rows and c0 < n_cols:
-        kb = min(block, n_cols - c0, n_rows - r0)
-        c1 = c0 + kb
-        # L rows track A rows r0..; column k holds the multipliers of pivot k
-        L = np.zeros((n_rows - r0, kb), dtype=np.int64)
-        invs = []
-        pv = 0
-        stopped_col = None
+    for c0 in range(0, n_cols, width):
+        if r0 == n_rows:
+            break
+        c1 = min(c0 + width, n_cols)
+        pcols: list[int] = []
+        invs: list[int] = []
         for j in range(c0, c1):
-            rr = r0 + pv
-            nz = np.nonzero(A[rr:, j])[0]
-            if nz.size == 0:
-                stopped_col = j
+            rr = r0 + len(pcols)
+            if rr == n_rows:
                 break
+            nz = np.flatnonzero(A[rr:, j])
+            if nz.size == 0:
+                continue
             i = rr + int(nz[0])
             if i != rr:
                 A[[rr, i]] = A[[i, rr]]
-                L[[rr - r0, i - r0]] = L[[i - r0, rr - r0]]
             inv = pow(int(A[rr, j]), p - 2, p)
-            invs.append(inv)
             A[rr, j:c1] = A[rr, j:c1] * inv % p
-            mult = A[rr + 1 :, j].copy()
-            L[pv + 1 :, pv] = mult
-            sub = A[rr + 1 :, j:c1]
-            if sub.size:
-                sub -= mult[:, None] * A[rr, j:c1][None, :]
-                sub %= p
-            pv += 1
+            sub = A[rr + 1 :, j + 1 : c1]
+            sub -= A[rr + 1 :, j, None] * A[rr, j + 1 : c1]
+            sub %= p
+            pcols.append(j)
+            invs.append(inv)
+        pv = len(pcols)
         if pv and c1 < n_cols:
             # finish the pivot rows across the trailing columns (forward
             # substitution against earlier pivots of this panel), then one
-            # Schur update for everything below
+            # Schur update for everything below.  Memory stays bounded: one
+            # float64 copy each of L and U per panel, filled without int64
+            # temporaries, and row chunks that subtract and reduce in a single
+            # float64 buffer (every value stays an integer below 2**53)
             U = A[r0 : r0 + pv, c1:]
+            Uf = np.empty(U.shape)
             for k in range(pv):
                 if k:
-                    U[k] -= np.dot(L[k, :k].astype(np.float64),
-                                   U[:k].astype(np.float64)).astype(np.int64)
+                    U[k] -= (A[r0 + k, pcols[:k]].astype(np.float64) @ Uf[:k]).astype(np.int64)
                     U[k] %= p
                 U[k] = U[k] * invs[k] % p
+                Uf[k] = U[k]
             below = A[r0 + pv :, c1:]
-            Lf = L[pv:, :pv].astype(np.float64)
+            Lf = np.empty((n_rows - r0 - pv, pv))
+            for k, j in enumerate(pcols):
+                Lf[:, k] = A[r0 + pv :, j]
             for start in range(0, below.shape[0], 1024):
-                stop = start + 1024
-                prod = (Lf[start:stop] @ U.astype(np.float64)).astype(np.int64)
-                below[start:stop] -= prod
-                below[start:stop] %= p
-        if stopped_col is not None:
-            tail, _ = _echelon_rank_mod_p(A[r0 + pv :, stopped_col + 1 :], p)
-            return r0 + pv + tail
+                chunk = below[start : start + 1024]
+                buf = Lf[start : start + 1024] @ Uf
+                np.subtract(chunk, buf, out=buf)
+                np.mod(buf, p, out=buf)
+                chunk[...] = buf
+        pivots += pcols
         r0 += pv
-        c0 = c1
-    return r0
+
+    # back-substitution: solve U[:, pivots] X = -U[:, free] one block of
+    # pivot rows at a time, bottom up; the strict lower part of U[:, pivots]
+    # holds multipliers and is never read
+    r = len(pivots)
+    free = np.setdiff1d(np.arange(n_cols), pivots)
+    X = -A[:r, free] % p
+    for k1 in range(r, 0, -width):
+        k0 = max(k1 - width, 0)
+        for k in range(k1 - 1, k0, -1):
+            X[k0:k] -= A[k0:k, pivots[k], None] * X[k]
+            X[k0:k] %= p
+        if k0:
+            X[:k0] -= (A[:k0, pivots[k0:k1]].astype(np.float64)
+                       @ X[k0:k1].astype(np.float64)).astype(np.int64)
+            X[:k0] %= p
+    N = np.zeros((n_cols, free.size), dtype=np.int64)
+    N[free, np.arange(free.size)] = 1
+    N[pivots] = X
+    return r, pivots, N
 
 
 def rank_mod_p(M: IntSymMatrix, p: int) -> int:
     if p <= 2 or p >= (1 << 31):
         raise ValueError("need 2 < p < 2**31")
-    A = np.mod(M.data, p)
-    block = _gf_block_width(p)
-    if block >= 8 and M.dim >= 192:
-        return _echelon_rank_blocked(A, p, block)
-    r, _ = _echelon_rank_mod_p(A, p)
-    return r
-
-
-def _nullspace_mod_p(M: IntSymMatrix, p: int):
-    """(rank, pivot_cols, nullspace vectors mod p, free-column normalized)."""
-    A = np.mod(M.data, p)
-    r, pivots = _rref_mod_p(A, p)
-    n = M.dim
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    vecs = []
-    for f in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for row_idx, c in enumerate(pivots):
-            v[c] = (-int(A[row_idx, f])) % p
-        vecs.append(v)
-    return r, tuple(pivots), vecs
+    return _eliminate(M.data, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +251,6 @@ def _rational_reconstruct(r: int, m: int) -> Fraction | None:
     if t1 < 0:
         return Fraction(-r1, -t1)
     return Fraction(r1, t1)
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    inv = pow(m1 % m2, m2 - 2, m2)  # m2 prime and coprime to m1
-    t = (r2 - r1) % m2 * inv % m2
-    return r1 + m1 * t, m1 * m2
 
 
 def _verify_integer_nullvector(M: IntSymMatrix, v: list[int]) -> bool:
@@ -374,25 +325,25 @@ def exact_rank(M: IntSymMatrix, seed: int = 0, cap: int = EXACT_CAP) -> int:
     if rank_mod_p(M, p0) == M.dim:
         return M.dim  # a nonzero n x n minor mod p is nonzero over Q
     best_rank = -1
-    best_pivots: tuple | None = None
-    residues: list[list[tuple[int, int]]] = []
+    best_pivots: list[int] | None = None
     for _ in range(64):
-        p = random_prime_31(rng)
-        r, pivots, null_p = _nullspace_mod_p(M, p)
+        p = random_prime_22(rng)
+        r, pivots, null_p = _eliminate(M.data, p)
         if r == M.dim:
             return M.dim
         if r > best_rank:
+            # residues of the nullspace basis modulo the product of the primes
+            # that agree on the consensus structure
             best_rank, best_pivots = r, pivots
-            residues = [[(int(x), p) for x in vec] for vec in null_p]
+            residues, modulus = null_p.T.astype(object), p
         elif r < best_rank or pivots != best_pivots:
             continue  # unlucky prime for the consensus structure; discard it
         else:
-            for acc, vec in zip(residues, null_p):
-                for j in range(M.dim):
-                    acc[j] = _crt_pair(acc[j][0], acc[j][1], int(vec[j]), p)
+            t = (null_p.T - residues) % p * pow(modulus % p, p - 2, p) % p
+            residues, modulus = residues + modulus * t, modulus * p
         lifted = []
         for acc in residues:
-            fracs = [_rational_reconstruct(res, mod) for res, mod in acc]
+            fracs = [_rational_reconstruct(res, modulus) for res in acc]
             if any(f is None for f in fracs):
                 break
             den = 1

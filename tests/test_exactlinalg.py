@@ -8,7 +8,9 @@ from killform.errors import CapExceeded, SingularMatrix
 from killform.exactlinalg import (
     IntSymMatrix,
     Signature,
+    _eliminate,
     _exact_inertia_ldlt,
+    _gf_block_width,
     _is_prime,
     connected_components,
     exact_inverse,
@@ -108,6 +110,116 @@ def test_rank_mod_p_lower_bounds_exact(n, seed):
     r = exact_rank(M)
     for p in (3, 5, 101, 2**31 - 1):
         assert rank_mod_p(M, p) <= r
+
+
+# ----------------------------------------------------- GF(p) elimination
+
+P22 = 4194301  # largest prime below 2**22: panels of 256 columns
+P25 = 33554393  # largest prime below 2**25: panels of 8, the narrowest blocked case
+P31 = 2**31 - 1  # panel width 0: one panel covers the matrix
+W22 = _gf_block_width(P22)
+W25 = _gf_block_width(P25)
+
+
+def rref_mod_p_oracle(A, p):
+    """Scalar reduced row echelon form over GF(p): (rank, pivot columns, nullspace)."""
+    A = np.mod(np.array(A, dtype=np.int64), p)
+    n_rows, n_cols = A.shape
+    pivots = []
+    for col in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        nz = np.flatnonzero(A[r:, col])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        A[[r, i]] = A[[i, r]]
+        A[r] = A[r] * pow(int(A[r, col]), p - 2, p) % p
+        mult = A[:, col].copy()
+        mult[r] = 0
+        A -= mult[:, None] * A[r]
+        A %= p
+        pivots.append(col)
+    free = [c for c in range(n_cols) if c not in pivots]
+    N = np.zeros((n_cols, len(free)), dtype=np.int64)
+    for j, f in enumerate(free):
+        N[f, j] = 1
+        N[pivots, j] = -A[: len(pivots), f] % p
+    return len(pivots), pivots, N
+
+
+def matmul_mod(A, N, p):
+    """A @ N mod p without int64 overflow: N is split into 16-bit halves."""
+    A = np.mod(A, p)
+    lo, hi = N & 0xFFFF, N >> 16
+    return ((A @ lo) % p + ((A @ hi) % p << 16)) % p
+
+
+def planted_matrix(rng, p, n_rows, n_cols, dependent):
+    """Random matrix mod p whose columns in `dependent` combine earlier columns."""
+    A = rng.integers(0, p, size=(n_rows, n_cols))
+    for c in dependent:
+        coeffs = rng.integers(0, p, size=(c, 1))
+        A[:, c] = matmul_mod(A[:, :c], coeffs, p)[:, 0]
+    return A
+
+
+def check_elimination(A, p):
+    before = A.copy()
+    rank, pivots, N = _eliminate(A, p)
+    assert np.array_equal(A, before)
+    n_cols = A.shape[1]
+    assert rank == len(pivots)
+    assert rank + N.shape[1] == n_cols
+    free = [c for c in range(n_cols) if c not in pivots]
+    assert np.array_equal(N[free], np.eye(len(free), dtype=np.int64))
+    assert not matmul_mod(A, N, p).any()
+    o_rank, o_pivots, o_N = rref_mod_p_oracle(A, p)
+    assert (rank, pivots) == (o_rank, o_pivots)
+    assert np.array_equal(N, o_N)
+    return rank, pivots, N
+
+
+@pytest.mark.parametrize("p, n_rows, n_cols, dependent", [
+    (P22, 192, 192, [0, 100, 191]),
+    (P22, 300, 300, [W22 // 2, W22 - 1, W22]),  # inside a panel, either side of its edge
+    (P22, 600, 600, [W22, 2 * W22 - 1, 2 * W22, 599]),
+    (P22, 1400, 300, [5, W22]),  # tall: more rows below a panel than one update chunk
+    (P22, 200, 600, [W22 // 2]),  # wide: the rows run out inside the first panel
+    (P25, 64, 64, [0, W25 - 1, W25, 3 * W25 + 2]),
+    (P31, 60, 60, [0, 7, 59]),
+], ids=["192", "300-panel-edge", "600", "tall", "wide", "p25", "p31"])
+def test_eliminate_planted_rank_drops(p, n_rows, n_cols, dependent):
+    rng = np.random.default_rng(n_rows * n_cols + len(dependent))
+    A = planted_matrix(rng, p, n_rows, n_cols, dependent)
+    rank, pivots, _ = check_elimination(A, p)
+    assert not set(dependent) & set(pivots)
+    assert rank == min(n_rows, n_cols - len(dependent))
+
+
+@pytest.mark.parametrize("p", [P22, P31])
+def test_eliminate_zero_matrix(p):
+    rank, pivots, N = check_elimination(np.zeros((300, 300), dtype=np.int64), p)
+    assert (rank, pivots) == (0, [])
+    assert np.array_equal(N, np.eye(300, dtype=np.int64))
+
+
+def test_eliminate_restricted_action():
+    # [B | B R] with B of full column rank: the nullspace is [-R; I]
+    rng = np.random.default_rng(17)
+    k, r = 300, 150
+    B = rng.integers(0, P22, size=(k, r))
+    R = rng.integers(0, P22, size=(r, r))
+    rank, pivots, N = check_elimination(np.concatenate([B, matmul_mod(B, R, P22)], axis=1), P22)
+    assert (rank, pivots) == (r, list(range(r)))
+    assert np.array_equal(-N[:r] % P22, R)
+
+
+def test_rank_mod_p_blocked_symmetric():
+    rng = np.random.default_rng(29)
+    B = rng.integers(-5, 6, size=(400, W22 + 3))
+    assert rank_mod_p(IntSymMatrix(B @ B.T), P22) == rref_mod_p_oracle(B @ B.T, P22)[0] == W22 + 3
 
 
 def test_signature_definite_and_indefinite():
