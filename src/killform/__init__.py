@@ -1,7 +1,8 @@
 """Killing forms of conjugacy-class differential calculi on finite groups.
 
-The form on the calculus over a class C is K(a, b) = |Z(ab) & C|, assembled
-through centralizer sections rather than the double loop over the class.
+The form on the calculus over a class C is K(a, b) = |Z(ab) & C|, a class
+function of the product ab, so it is read from one commuting count per class
+rather than from the double loop over the class.
 Everything that decides a yes/no question (nondegeneracy, signature,
 integrality, irrep multiplicities) is computed in exact arithmetic; floating
 point only ever proposes candidates that are then certified.

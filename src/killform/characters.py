@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exactlinalg import _eliminate, _is_prime
 from .gf import _least_primitive_root
-from .groups import ConjClass, Group
+from .groups import ConjClass, Group, locate_rows
 from .killing import KillingForm
 
 CLASS_CAP = 64
@@ -381,13 +381,6 @@ def _class_mult_matrices(G: Group) -> list[np.ndarray]:
     """M_i[j][k] = #{x in C_i : x^-1 z_k in C_j} (class-sum structure constants)."""
     classes = G.classes()
     k = len(classes)
-    arr = G.arr
-    void_dt = np.dtype((np.void, arr.shape[1] * arr.dtype.itemsize))
-    group_keys = np.ascontiguousarray(arr).view(void_dt).ravel()
-    clsarr = np.empty(G.order, dtype=np.int64)
-    for ci, cl in enumerate(classes):
-        for h in cl.members:
-            clsarr[G.index(h)] = ci
     Ms = []
     d = G.degree
     cols = np.arange(d)
@@ -398,11 +391,7 @@ def _class_mult_matrices(G: Group) -> list[np.ndarray]:
         Mi = np.zeros((k, k), dtype=np.int64)
         for kk, Ck in enumerate(classes):
             z = np.asarray(Ck.representative.images, dtype=np.intp)
-            X = Ainv[:, z]
-            keys = np.ascontiguousarray(X).view(void_dt).ravel()
-            idx = np.searchsorted(group_keys, keys)
-            counts = np.bincount(clsarr[idx], minlength=k)
-            Mi[:, kk] = counts
+            Mi[:, kk] = np.bincount(G.class_map[locate_rows(G.arr, Ainv[:, z])], minlength=k)
         Ms.append(Mi)
     return Ms
 
@@ -584,16 +573,12 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable,
     sizes = np.array([c.size for c in classes], dtype=float)
 
     B = C.arr
-    void_dt = np.dtype((np.void, B.shape[1] * B.dtype.itemsize))
-    member_keys = np.ascontiguousarray(B).view(void_dt).ravel()
     perms = []
     for cl in classes:
         g = cl.representative
         g_arr = np.asarray(g.images, dtype=np.intp)
         ginv_arr = np.asarray(g.inverse().images, dtype=B.dtype)
-        X = ginv_arr[B[:, g_arr]]  # a -> g^-1 a g
-        keys = np.ascontiguousarray(X).view(void_dt).ravel()
-        perms.append(np.searchsorted(member_keys, keys))
+        perms.append(locate_rows(B, ginv_arr[B[:, g_arr]]))  # a -> g^-1 a g
 
     chars = np.array(T.chars, dtype=complex)
     entries = []

@@ -6,9 +6,10 @@ certified exactly without full big-integer elimination: the rank mod a random
 22-bit prime bounds the rank from below (a pivot minor nonzero mod p is nonzero
 over Q).  When the matrix is singular mod p, nullspaces mod further 22-bit
 primes (small enough that the float64 panel updates stay exact) are CRT-lifted
-to rationals, and each lifted vector is verified exactly by matvecs mod 31-bit
-primes; the verified nullity bounds the rank from above.  Fraction-free Bareiss
-remains as the small-dimension path and as an independent oracle.
+to rationals, and the lifted basis is verified exactly by one matrix product
+per 31-bit prime; the verified nullity bounds the rank from above.
+Fraction-free Bareiss remains as the small-dimension path and as an
+independent oracle.
 
 Floating eigenwork goes through LAPACK (numpy.linalg.eigh).
 """
@@ -253,31 +254,27 @@ def _rational_reconstruct(r: int, m: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _verify_integer_nullvector(M: IntSymMatrix, v: list[int]) -> bool:
-    """Exact check M @ v == 0 via modular matvecs with modulus beating |M @ v|."""
-    max_abs = max((abs(x) for x in v), default=0)
-    if max_abs == 0:
+def _verify_integer_nullspace(M: IntSymMatrix, vectors: list[list[int]]) -> bool:
+    """Exact check M @ v == 0 for every v: one matmul of the whole basis per
+    31-bit prime, with primes taken until their product exceeds |M @ v|."""
+    if not all(any(v) for v in vectors):
         return False
-    max_entry = int(np.abs(M.data).max()) if M.dim else 0
-    bound_bits = (
-        max_abs.bit_length() + max_entry.bit_length() + M.dim.bit_length() + 2
-    )
+    V = np.array(vectors, dtype=object).T
+    max_abs = max((abs(x) for v in vectors for x in v), default=0)
+    bound = M.dim * int(np.abs(M.data).max(initial=0)) * max_abs
     rng = random.Random(0xC0FFEE)
-    bits = 0
-    used = set()
-    while bits <= bound_bits:
+    modulus = 1
+    while modulus <= bound:
         p = random_prime_31(rng)
-        if p in used:
+        if modulus % p == 0:
             continue
-        used.add(p)
         Mp = M.data % p
-        vp = np.array([x % p for x in v], dtype=np.int64)
-        lo = vp & 0xFFFF
-        hi = vp >> 16
-        res = ((Mp @ lo) % p + ((Mp @ hi) % p << 16)) % p
-        if np.any(res):
+        Vp = (V % p).astype(np.int64)
+        lo = Vp & 0xFFFF
+        hi = Vp >> 16
+        if np.any(((Mp @ lo) % p + ((Mp @ hi) % p << 16)) % p):
             return False
-        bits += 31
+        modulus *= p
     return True
 
 
@@ -351,7 +348,7 @@ def exact_rank(M: IntSymMatrix, seed: int = 0, cap: int = EXACT_CAP) -> int:
                 den = den * f.denominator // gcd(den, f.denominator)
             lifted.append([int(f * den) for f in fracs])
         else:
-            if all(_verify_integer_nullvector(M, v) for v in lifted):
+            if _verify_integer_nullspace(M, lifted):
                 # nullity >= dim - best_rank (free-column pattern keeps the
                 # verified vectors independent) and rank >= best_rank from the
                 # mod-p pivot minor: together that pins rank = best_rank.

@@ -1,13 +1,14 @@
 """Permutation groups, conjugacy classes, centralizers, named constructors.
 
 Groups are fully enumerated (no stabilizer chains): the survey operates at desk
-scale, default cap 10^5 elements.  Conjugacy classes carry an explicit section
-s: C -> G with s(h) * rep * s(h)^-1 = h, which is what the Killing-matrix
-construction consumes.
+scale, default cap 10^5 elements.  Elements and class members are also held as
+sorted arrays of image rows; `locate_rows` finds permutations among them, and
+`Group.class_map` gives the class of every element.
 """
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from itertools import permutations as _itt_permutations
 from math import factorial, lcm
 from pathlib import Path
@@ -28,6 +29,26 @@ def _class_letter(i: int) -> str:
     if i < 26:
         return _LETTERS[i]
     return _LETTERS[i // 26 - 1] + _LETTERS[i % 26]
+
+
+def _row_dtype(degree: int) -> np.dtype:
+    # big-endian, so that the bytes of a row sort like the row as a tuple
+    return np.dtype(np.uint8 if degree <= 255 else ">u2")
+
+
+def locate_rows(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Positions in ``rows`` (image rows sorted lexicographically) of the rows of X.
+
+    Rows are compared as big-endian byte strings, whose order is the tuple
+    order for uint8 and uint16 entries alike.
+    """
+    dtype = rows.dtype.newbyteorder(">")
+    key = np.dtype((np.void, rows.shape[1] * dtype.itemsize))
+    keys, wanted = (np.ascontiguousarray(R, dtype=dtype).view(key).ravel() for R in (rows, X))
+    idx = np.searchsorted(keys, wanted)
+    if keys.take(idx, mode="clip").tobytes() != wanted.tobytes():
+        raise ElementNotInGroup("a permutation row is not among the sorted rows")
+    return idx
 
 
 def _closure(gen_images, degree: int, cap: int, stop_at: int | None = None):
@@ -62,7 +83,6 @@ class Group:
         self._index = {p.images: i for i, p in enumerate(elements)}
         self._arr = None
         self._classes = None
-        self._class_of = None
 
     def __contains__(self, p: Perm) -> bool:
         return p.images in self._index
@@ -77,8 +97,7 @@ class Group:
     def arr(self) -> np.ndarray:
         """(order x degree) array of element images, rows aligned with .elements."""
         if self._arr is None:
-            dtype = np.uint8 if self.degree <= 255 else np.uint16
-            self._arr = np.array([p.images for p in self.elements], dtype=dtype)
+            self._arr = np.array([p.images for p in self.elements], dtype=_row_dtype(self.degree))
         return self._arr
 
     def classes(self) -> list["ConjClass"]:
@@ -86,18 +105,17 @@ class Group:
             self._classes = conjugacy_classes(self)
         return self._classes
 
+    @cached_property
+    def class_map(self) -> np.ndarray:
+        """Index into classes() of the class of each element, aligned with .elements."""
+        class_map = np.empty(self.order, dtype=np.intp)
+        for ci, cl in enumerate(self.classes()):
+            class_map[locate_rows(self.arr, cl.arr)] = ci
+        return class_map
+
     def class_index_of(self, p: Perm) -> int:
         """Index into classes() of the class containing p."""
-        if self._class_of is None:
-            lookup = {}
-            for ci, cl in enumerate(self.classes()):
-                for h in cl.members:
-                    lookup[h.images] = ci
-            self._class_of = lookup
-        try:
-            return self._class_of[p.images]
-        except KeyError:
-            raise ElementNotInGroup(f"{p} not in {self.name}") from None
+        return int(self.class_map[self.index(p)])
 
     def centre(self) -> list[Perm]:
         gen_arrs = [np.array(g.images) for g in self.generators]
@@ -115,25 +133,18 @@ class Group:
 
 
 class ConjClass:
-    """A conjugacy class with a section map back to the representative.
+    """A conjugacy class; members are sorted lexicographically and the
+    representative is members[0]."""
 
-    members are sorted lexicographically; representative is members[0];
-    section(h) conjugates the representative to h.
-    """
-
-    def __init__(self, members: tuple[Perm, ...], section: dict, label: str = "",
+    def __init__(self, members: tuple[Perm, ...], label: str = "",
                  group_order: int | None = None):
         self.members = members
         self.representative = members[0]
-        self.section = section
         self.label = label
         self.group_order = group_order
         self.degree = members[0].degree
         self.element_order = members[0].order()
-        inv = self.representative.inverse()
-        self.is_real = inv.images in {m.images for m in members} if len(members) > 64 else inv in members
         self._arr = None
-        self._idx = None
 
     @property
     def size(self) -> int:
@@ -145,19 +156,22 @@ class ConjClass:
     @property
     def arr(self) -> np.ndarray:
         if self._arr is None:
-            dtype = np.uint8 if self.degree <= 255 else np.uint16
-            self._arr = np.array([p.images for p in self.members], dtype=dtype)
+            self._arr = np.array([p.images for p in self.members], dtype=_row_dtype(self.degree))
         return self._arr
 
+    @cached_property
+    def _member_index(self) -> dict:
+        return {m.images: i for i, m in enumerate(self.members)}
+
     def index(self, p: Perm) -> int:
-        if self._idx is None:
-            self._idx = {m.images: i for i, m in enumerate(self.members)}
-        return self._idx[p.images]
+        return self._member_index[p.images]
 
     def __contains__(self, p: Perm) -> bool:
-        if self._idx is None:
-            self._idx = {m.images: i for i, m in enumerate(self.members)}
-        return p.images in self._idx
+        return p.images in self._member_index
+
+    @property
+    def is_real(self) -> bool:
+        return self.representative.inverse() in self
 
     def commuting_count(self, x: Perm) -> int:
         """|Z(x) ∩ C|, vectorized over the member array."""
@@ -196,23 +210,21 @@ def conjugacy_classes(G: Group) -> list[ConjClass]:
     assigned = set()
     raw = []
     for seed in G.elements:
-        if seed.images in assigned:
+        if seed in assigned:
             continue
-        section = {seed: Perm.identity(G.degree)}
+        orbit = {seed}
         frontier = [seed]
         while frontier:
             nxt = []
             for h in frontier:
-                s_h = section[h]
                 for g, g_inv in gen_pairs:
                     h2 = g * h * g_inv
-                    if h2 not in section:
-                        section[h2] = g * s_h
+                    if h2 not in orbit:
+                        orbit.add(h2)
                         nxt.append(h2)
             frontier = nxt
-        members = tuple(sorted(section))
-        assigned.update(m.images for m in members)
-        raw.append(ConjClass(members, section, group_order=G.order))
+        assigned |= orbit
+        raw.append(ConjClass(tuple(sorted(orbit)), group_order=G.order))
     raw.sort(key=lambda c: (c.element_order, c.size, tuple(m.images for m in c.members)))
     by_order: dict[int, int] = {}
     for cl in raw:
@@ -265,6 +277,16 @@ def _full_cycle_type(n: int, mu) -> tuple[int, ...]:
     return mu + (1,) * (n - sum(mu))
 
 
+def class_size(n: int, mu) -> int:
+    """|C_mu| in S_n: n! / prod(k^m_k m_k!) over cycle lengths k (mu may omit its 1s)."""
+    mu = tuple(mu) + (1,) * (n - sum(mu))
+    z = 1
+    for k in set(mu):
+        m = mu.count(k)
+        z *= k**m * factorial(m)
+    return factorial(n) // z
+
+
 def _perms_of_cycle_type(n: int, lens: tuple[int, ...]):
     """All images-tuples in S_n whose nontrivial cycle lengths are ``lens``.
 
@@ -301,23 +323,6 @@ def _perms_of_cycle_type(n: int, lens: tuple[int, ...]):
         yield tuple(images)
 
 
-def _conjugator(src: Perm, dst: Perm) -> Perm:
-    """A permutation s with s * src * s^-1 = dst (same cycle type)."""
-    n = src.degree
-    key = lambda c: (-len(c), c[0])
-    sc = sorted(src.cycles(), key=key)
-    dc = sorted(dst.cycles(), key=key)
-    images = [-1] * n
-    for a, b in zip(sc, dc):
-        for x, y in zip(a, b):
-            images[x] = y
-    src_fixed = sorted(set(range(n)) - {x for c in sc for x in c})
-    dst_fixed = sorted(set(range(n)) - {x for c in dc for x in c})
-    for x, y in zip(src_fixed, dst_fixed):
-        images[x] = y
-    return Perm(images)
-
-
 def symmetric_class(n: int, mu) -> ConjClass:
     """The conjugacy class of S_n with cycle type mu, built combinatorially.
 
@@ -326,10 +331,8 @@ def symmetric_class(n: int, mu) -> ConjClass:
     """
     lens = _full_cycle_type(n, mu)
     members = tuple(Perm(im) for im in sorted(_perms_of_cycle_type(n, lens)))
-    rep = members[0]
-    section = {h: _conjugator(rep, h) for h in members}
     label = ",".join(str(l) for l in lens)
-    return ConjClass(members, section, label=label, group_order=factorial(n))
+    return ConjClass(members, label=label, group_order=factorial(n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Killing forms K(x_a, x_b) = |Z(ab) ∩ C| of class calculi, and their analysis.
 
-The class matrix is filled by the section trick: with a fixed representative g
-and section s(a)*g*s(a)^-1 = a, ad-invariance of |Z(x) ∩ C| gives
-K[a][b] = f(s(a)^-1 * b * s(a)) where f(h) = |Z(gh) ∩ C| is computed once per
-class member.  The brute-force double loop over |Z(ab) ∩ C| exists only as a
-test oracle (killing_matrix_bruteforce).
+Every form is a class function of a product: |Z(x) ∩ C| is invariant under
+conjugation, so K[a][b] = phi_C(ab) with phi_C the conjugation character,
+evaluated once per class of G; the universal form takes phi = |Z| - 1.  The
+brute-force double loop over |Z(ab) ∩ C| exists only as a test oracle
+(killing_matrix_bruteforce).
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .exactlinalg import (
     signature,
     spectrum,
 )
-from .groups import ConjClass, Group
+from .groups import ConjClass, Group, class_size, locate_rows
 from .perms import Perm
 
 MATRIX_CAP = 4096
@@ -114,45 +114,79 @@ class KillingForm:
         return f"KillingForm({what}, dim={self.matrix.dim})"
 
 
-def _rows_to_indices(X: np.ndarray, sorted_keys: np.ndarray, void_dt) -> np.ndarray:
-    keys = np.ascontiguousarray(X).view(void_dt).ravel()
-    idx = np.searchsorted(sorted_keys, keys)
-    return idx
+def _form_matrix(basis_arr: np.ndarray, phi) -> IntSymMatrix:
+    """K[a][b] = phi(ab) over the basis rows; phi maps an array of product rows
+    to the values of a class function on them."""
+    m = len(basis_arr)
+    K = np.empty((m, m), dtype=np.int64)
+    for i, a in enumerate(basis_arr):
+        K[i] = phi(a[basis_arr])  # row b -> images of a * b
+    return IntSymMatrix(K)
+
+
+def _class_function(G: Group, per_class):
+    """x -> per_class[class of x], for rows x of elements of G."""
+    per_element = np.asarray(per_class, dtype=np.int64)[G.class_map]
+    return lambda X: per_element[locate_rows(G.arr, X)]
+
+
+def _cycle_lengths(X: np.ndarray) -> np.ndarray:
+    """Each row's per-point cycle lengths, sorted: a key for its cycle type."""
+    X = X.astype(np.intp)
+    points = np.arange(X.shape[1])
+    lengths = np.zeros_like(X)
+    power, k = X, 1
+    while True:
+        lengths[(power == points) & (lengths == 0)] = k
+        if lengths.all():
+            lengths.sort(axis=1)
+            return lengths
+        power, k = np.take_along_axis(X, power, axis=1), k + 1
+
+
+def _cycle_type_function(C: ConjClass):
+    """x -> |Z(x) ∩ C| read by the cycle type of x, for a full class C of S_n."""
+    types = _cycle_lengths(C.arr)
+    mu = [len(c) for c in C.representative.cycles()]
+    if (types != types[0]).any() or C.size != class_size(C.degree, mu):
+        raise ValueError(f"{C!r} is not a full conjugacy class of S_{C.degree}")
+    by_type: dict[bytes, int] = {}
+
+    def phi(X: np.ndarray) -> np.ndarray:
+        types, first, inverse = np.unique(_cycle_lengths(X), axis=0,
+                                          return_index=True, return_inverse=True)
+        values = []
+        for t, i in zip(types, first):
+            key = t.tobytes()
+            if key not in by_type:
+                by_type[key] = C.commuting_count(Perm(X[i].tolist()))
+            values.append(by_type[key])
+        return np.array(values, dtype=np.int64)[inverse.ravel()]
+
+    return phi
 
 
 def killing_matrix(G: Group | None, C: ConjClass, cap: int = MATRIX_CAP) -> KillingForm:
-    """K[a][b] = |Z(ab) ∩ C| over the class basis, by the section method.
+    """K[a][b] = |Z(ab) ∩ C| = phi_C(ab) over the class basis.
 
-    Only the class itself is consumed; the group handle is carried along for
-    later analysis stages (Casimir, decompositions) and may be None.
+    phi_C takes one commuting count per class of G.  With G None, C must be a
+    full class of S_n (as symmetric_class builds it) and phi_C is read by the
+    cycle type of the product; otherwise ValueError.
     """
     if C.is_trivial():
         raise ValueError("Killing form needs a nontrivial class")
     m = C.size
     if m > cap:
         raise CapExceeded(f"class size {m} exceeds matrix cap {cap}")
-    g = C.representative
-    members = C.members
-    B = C.arr
-    void_dt = np.dtype((np.void, B.shape[1] * B.dtype.itemsize))
-    sorted_keys = np.ascontiguousarray(B).view(void_dt).ravel()  # members are sorted
-
-    f_vals = np.empty(m, dtype=np.int64)
-    for i, h in enumerate(members):
-        f_vals[i] = C.commuting_count(g * h)
-
-    K = np.empty((m, m), dtype=np.int64)
-    for i, a in enumerate(members):
-        s = C.section[a]
-        s_arr = np.asarray(s.images, dtype=np.intp)
-        sinv_arr = np.asarray(s.inverse().images, dtype=B.dtype)
-        X = sinv_arr[B[:, s_arr]]  # row b -> images of s^-1 * b * s
-        K[i] = f_vals[_rows_to_indices(X, sorted_keys, void_dt)]
-    return KillingForm(IntSymMatrix(K), members, group=G, conj_class=C)
+    if G is None:
+        phi = _cycle_type_function(C)
+    else:
+        phi = _class_function(G, [C.commuting_count(cl.representative) for cl in G.classes()])
+    return KillingForm(_form_matrix(C.arr, phi), C.members, group=G, conj_class=C)
 
 
 def killing_matrix_bruteforce(C: ConjClass) -> IntSymMatrix:
-    """Direct K[a][b] = |Z(ab) ∩ C| with no section/caching tricks (test oracle)."""
+    """Direct K[a][b] = |Z(ab) ∩ C| by the double loop (test oracle)."""
     m = C.size
     K = np.empty((m, m), dtype=np.int64)
     for i, a in enumerate(C.members):
@@ -169,27 +203,13 @@ def universal_killing(G: Group, cap: int = MATRIX_CAP, include_identity: bool = 
     """
     if G.order < 2:
         raise ValueError("universal calculus needs |G| >= 2")
-    basis = G.elements if include_identity else G.elements[1:]
+    off = 0 if include_identity else 1
+    basis = G.elements[off:]
     m = len(basis)
     if m > cap:
         raise CapExceeded(f"universal basis size {m} exceeds matrix cap {cap}")
-    zvals = np.empty(G.order, dtype=np.int64)
-    for ci, cl in enumerate(G.classes()):
-        zsize = G.order // cl.size
-        for h in cl.members:
-            zvals[G.index(h)] = zsize
-    arr = G.arr
-    off = 0 if include_identity else 1
-    Bfull = arr[off:]
-    void_dt = np.dtype((np.void, arr.shape[1] * arr.dtype.itemsize))
-    group_keys = np.ascontiguousarray(arr).view(void_dt).ravel()  # sorted
-    K = np.empty((m, m), dtype=np.int64)
-    for i, a in enumerate(basis):
-        a_np = np.asarray(a.images, dtype=arr.dtype)
-        X = a_np[Bfull]  # row b -> images of a * b
-        idx = _rows_to_indices(X, group_keys, void_dt)
-        K[i] = zvals[idx] - 1
-    return KillingForm(IntSymMatrix(K), basis, group=G, universal=True,
+    phi = _class_function(G, [G.order // cl.size - 1 for cl in G.classes()])
+    return KillingForm(_form_matrix(G.arr[off:], phi), basis, group=G, universal=True,
                        includes_identity=include_identity)
 
 
@@ -320,8 +340,4 @@ def m_vector(G: Group, W_multiplicities, table) -> dict:
         for i, d in enumerate(table.degrees):
             val += d * d * np.conj(table.chars[i][j]) / mults[i]
         class_values.append(complex(val))
-    out = {}
-    for ci, cl in enumerate(G.classes()):
-        for h in cl.members:
-            out[h] = class_values[ci]
-    return out
+    return {g: class_values[ci] for g, ci in zip(G.elements, G.class_map)}

@@ -17,7 +17,7 @@ from math import factorial
 import numpy as np
 
 from .errors import CapExceeded, NotAnEigenvector
-from .groups import ConjClass, symmetric_class
+from .groups import ConjClass, class_size, symmetric_class
 from .killing import AlgebraVector, KillingForm, apply_form
 from .perms import Perm
 
@@ -68,16 +68,6 @@ def partitions_of(n: int, max_part: int | None = None):
     for first in range(max_part, 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
-
-
-def class_size(n: int, mu) -> int:
-    """|C_mu| in S_n: n! / prod(k^m_k m_k!) over cycle lengths k."""
-    mu = tuple(mu)
-    z = 1
-    for k in set(mu):
-        m = mu.count(k)
-        z *= k**m * factorial(m)
-    return factorial(n) // z
 
 
 def class_sign(n: int, mu) -> int:

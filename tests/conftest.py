@@ -6,6 +6,18 @@ import pytest
 from killform.cli import cmd_survey
 
 
+# S5 on the points {2, 256, 257, 259, 300}: degree 300 needs uint16 image rows
+WIDE_S5_GRP = "name S5@300\ndegree 300\n(2,256,257,259,300)\n(2,256)\n"
+
+
+@pytest.fixture(scope="session")
+def wide_s5_file(tmp_path_factory):
+    """Path of a .grp file holding S5 acting inside degree 300."""
+    path = tmp_path_factory.mktemp("groups") / "s5_300.grp"
+    path.write_text(WIDE_S5_GRP, encoding="utf-8")
+    return path
+
+
 @lru_cache(maxsize=None)
 def _survey(spec: str):
     return cmd_survey(spec)

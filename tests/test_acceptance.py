@@ -313,7 +313,7 @@ def test_criterion_5_structural_invariants_on_small_groups():
             theta = theta_vector(K)
             assert apply_form(K, theta) == theta.scale(Fraction(lam)), spec
 
-            # the section-method matrix agrees with the brute-force double
+            # the class-function matrix agrees with the brute-force double
             # loop entry for entry
             assert np.array_equal(M, killing_matrix_bruteforce(C).data), spec
 

@@ -85,6 +85,12 @@ def test_a5_table():
     assert golden == [round(v, 6) for v in phis]
 
 
+def test_wide_degree_table(wide_s5_file):
+    T = character_table(build_named_group(f"file:{wide_s5_file}"))
+    validate_orthogonality(T)
+    assert T.degrees == [1, 1, 4, 4, 5, 5, 6]
+
+
 def test_m11_table_degrees():
     G = build_named_group("file:data/m11.grp")
     T = table(G)

@@ -277,6 +277,12 @@ def test_main_partial_report_exit(capsys):
     assert "ERROR(CapExceeded)" in out
 
 
+@pytest.mark.parametrize("command, selector", [("survey", []), ("decompose", ["5A"])])
+def test_wide_degree_group_file_exits_0(wide_s5_file, command, selector, capsys):
+    code = main([command, f"file:{wide_s5_file}", *selector])
+    assert code == 0, capsys.readouterr()
+
+
 def test_group_file_spec_roundtrip(tmp_path):
     # the file: spec is the escape hatch for groups outside the name grammar
     src = tmp_path / "v4.grp"

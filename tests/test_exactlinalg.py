@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,13 @@ from killform.exactlinalg import (
     _exact_inertia_ldlt,
     _gf_block_width,
     _is_prime,
+    _verify_integer_nullspace,
     connected_components,
     exact_inverse,
     exact_rank,
     exact_rank_bareiss,
     integer_eigen_multiplicity,
+    random_prime_31,
     rank_mod_p,
     signature,
     spectrum,
@@ -95,6 +98,37 @@ def test_exact_rank_large_singular():
     rng = np.random.default_rng(3)
     M = random_low_rank(rng, 60, 41)
     assert exact_rank(M) == rank_fraction_oracle(M)
+
+
+def test_verify_integer_nullspace_checks_every_column():
+    # M is a nonsingular r x r block padded with zeros, then permuted; the
+    # padding coordinates span its kernel
+    rng = np.random.default_rng(11)
+    n, r = 40, 30
+    M0 = np.zeros((n, n), dtype=np.int64)
+    M0[:r, :r] = random_symmetric(rng, r).data
+    perm = rng.permutation(n)
+    M = IntSymMatrix(M0[np.ix_(perm, perm)])
+    at = np.argsort(perm)  # M0 coordinate -> M coordinate
+    basis = []
+    for j in range(n - r):
+        v = [0] * n
+        v[at[r + j]] = 10**30 + j  # beyond int64, as CRT-lifted vectors can be
+        basis.append(v)
+    assert _verify_integer_nullspace(M, basis)
+    bad = [list(v) for v in basis]
+    bad[-1][at[0]] = 1
+    assert not _verify_integer_nullspace(M, bad)
+    assert not _verify_integer_nullspace(M, basis + [[0] * n])
+
+
+def test_verify_integer_nullspace_takes_enough_primes():
+    # the residual of v is a multiple of the first prime the check draws, so
+    # only the bound from the largest entry of v makes it draw a second one
+    p1 = random_prime_31(random.Random(0xC0FFEE))
+    M = IntSymMatrix([[1, 0], [0, 0]])
+    assert _verify_integer_nullspace(M, [[0, 1]])
+    assert not _verify_integer_nullspace(M, [[0, 1], [p1, 1]])
 
 
 def test_exact_rank_cap():

@@ -16,7 +16,9 @@ from killform.groups import (
     ConjClass,
     alternating_group,
     build_named_group,
+    centralizer_count,
     generate_group,
+    symmetric_class,
     symmetric_group,
 )
 from killform.killing import (
@@ -177,7 +179,7 @@ DUAL_ROUTE_GROUPS = ["S3", "S4", "A4", "A5", "PSL(2,7)"]
 
 
 @pytest.mark.parametrize("spec", DUAL_ROUTE_GROUPS)
-def test_section_route_matches_bruteforce(spec):
+def test_class_function_route_matches_bruteforce(spec):
     G = build_named_group(spec)
     for C in G.classes():
         if C.is_trivial():
@@ -185,6 +187,36 @@ def test_section_route_matches_bruteforce(spec):
         K = killing_matrix(G, C)
         B = killing_matrix_bruteforce(C)
         assert np.array_equal(K.matrix.data, B.data), (spec, C.label)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_cycle_type_route_matches_group_route(n):
+    G = symmetric_group(n)
+    for C in G.classes():
+        if C.is_trivial():
+            continue
+        lens = [len(c) for c in C.representative.cycles()]
+        direct = symmetric_class(n, lens)
+        assert direct.members == C.members
+        K = killing_matrix(None, direct)
+        assert np.array_equal(K.matrix.data, killing_matrix(G, C).matrix.data), (n, C.label)
+
+
+def test_cycle_type_route_rejects_a_partial_class():
+    A5 = alternating_group(5)
+    with pytest.raises(ValueError):
+        killing_matrix(None, class_by_label(A5, "5A"))  # half of the 5-cycles of S5
+
+
+def test_wide_degree_forms(wide_s5_file):
+    G = build_named_group(f"file:{wide_s5_file}")
+    for C in G.classes():
+        if not C.is_trivial():
+            K = killing_matrix(G, C)
+            assert np.array_equal(K.matrix.data, killing_matrix_bruteforce(C).data), C.label
+    U = universal_killing(G)
+    want = [[centralizer_count(G, a * b) - 1 for b in U.basis] for a in U.basis]
+    assert U.matrix.data.tolist() == want
 
 
 def test_ad_invariance_a5():
@@ -261,8 +293,7 @@ def test_casimir_degenerate_raises():
 def test_casimir_not_central_on_fake_class():
     # a one-element "class" that is not closed under conjugation
     c3 = Perm.parse("(1,2,3)")
-    fake = ConjClass(members=(c3,), section={c3: Perm.identity(3)},
-                     label="fake", group_order=6)
+    fake = ConjClass(members=(c3,), label="fake", group_order=6)
     G = symmetric_group(3)
     K = killing_matrix(G, fake)
     assert K.matrix.data.tolist() == [[1]]  # |Z(c3^2) ∩ {c3}| = 1
@@ -329,8 +360,7 @@ def test_trivial_class_rejected():
 def test_row_sum_mismatch():
     t = Perm.parse("(1,2)")
     u = Perm.parse("(1,3)")
-    fake = ConjClass(members=tuple(sorted([t, u])), section={t: Perm.identity(3), u: Perm.parse("(2,3)")},
-                     label="fake", group_order=6)
+    fake = ConjClass(members=tuple(sorted([t, u])), label="fake", group_order=6)
     from killform.exactlinalg import IntSymMatrix
     K = KillingForm(IntSymMatrix([[1, 2], [2, 5]]), fake.members, group=symmetric_group(3),
                     conj_class=fake)
