@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     CapExceeded,
+    ElementNotInGroup,
     NoSuitablePrime,
     NontrivialCentre,
     NotACharacter,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .exactlinalg import _eliminate, _is_prime
 from .gf import _least_primitive_root
-from .groups import ConjClass, Group, locate_rows
+from .groups import ConjClass, Group
 from .killing import KillingForm
 
 CLASS_CAP = 64
@@ -381,18 +382,13 @@ def _class_mult_matrices(G: Group) -> list[np.ndarray]:
     """M_i[j][k] = #{x in C_i : x^-1 z_k in C_j} (class-sum structure constants)."""
     classes = G.classes()
     k = len(classes)
+    reps = np.array([Ck.arr[0] for Ck in classes])
     Ms = []
-    d = G.degree
-    cols = np.arange(d)
-    for i, Ci in enumerate(classes):
-        A = Ci.arr
-        Ainv = np.empty_like(A)
-        Ainv[np.arange(A.shape[0])[:, None], A] = cols[None, :].astype(A.dtype)
-        Mi = np.zeros((k, k), dtype=np.int64)
-        for kk, Ck in enumerate(classes):
-            z = np.asarray(Ck.representative.images, dtype=np.intp)
-            Mi[:, kk] = np.bincount(G.class_map[locate_rows(G.arr, Ainv[:, z])], minlength=k)
-        Ms.append(Mi)
+    for Ci in classes:
+        Ainv = np.argsort(Ci.arr, axis=1).astype(Ci.arr.dtype)
+        # x in C_i with x^-1 z_kk in class j is counted at j*k + kk
+        pairs = G.class_map[G.locator.product_indices(Ainv, reps)] * k + np.arange(k)
+        Ms.append(np.bincount(pairs.ravel(), minlength=k * k).reshape(k, k))
     return Ms
 
 
@@ -573,12 +569,17 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable,
     sizes = np.array([c.size for c in classes], dtype=float)
 
     B = C.arr
+    in_C = np.full(G.order, -1, dtype=np.intp)
+    in_C[G.locator.locate(B)] = np.arange(C.size)
     perms = []
     for cl in classes:
         g = cl.representative
         g_arr = np.asarray(g.images, dtype=np.intp)
         ginv_arr = np.asarray(g.inverse().images, dtype=B.dtype)
-        perms.append(locate_rows(B, ginv_arr[B[:, g_arr]]))  # a -> g^-1 a g
+        perm = in_C[G.locator.locate(ginv_arr[B[:, g_arr]])]  # a -> g^-1 a g
+        if (perm < 0).any():
+            raise ElementNotInGroup(f"{C!r} is not closed under conjugation in {G.name}")
+        perms.append(perm)
 
     chars = np.array(T.chars, dtype=complex)
     entries = []

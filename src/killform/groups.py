@@ -1,9 +1,10 @@
 """Permutation groups, conjugacy classes, centralizers, named constructors.
 
-Groups are fully enumerated (no stabilizer chains): the survey operates at desk
-scale, default cap 10^5 elements.  Elements and class members are also held as
-sorted arrays of image rows; `locate_rows` finds permutations among them, and
-`Group.class_map` gives the class of every element.
+Groups are fully enumerated: the survey operates at desk scale, default cap
+10^5 elements.  Elements and class members are also held as sorted arrays of
+image rows.  `Group.locator` finds elements, and products of elements, among
+them by the images of a base (Sims 1970) through one integer table per base
+point, and `Group.class_map` gives the class of every element.
 """
 from __future__ import annotations
 
@@ -32,23 +33,79 @@ def _class_letter(i: int) -> str:
 
 
 def _row_dtype(degree: int) -> np.dtype:
-    # big-endian, so that the bytes of a row sort like the row as a tuple
-    return np.dtype(np.uint8 if degree <= 255 else ">u2")
+    return np.dtype(np.uint8 if degree <= 255 else np.uint16)
 
 
-def locate_rows(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Positions in ``rows`` (image rows sorted lexicographically) of the rows of X.
+class BaseLocator:
+    """Finds elements of a group by their images of a base (Sims 1970).
 
-    Rows are compared as big-endian byte strings, whose order is the tuple
-    order for uint8 and uint16 entries alike.
+    ``arr`` holds the group's element rows, identity first.  Each base point
+    is the first point moved by the pointwise stabiliser of the points before
+    it, so the images of the base determine an element.  Level i keeps an
+    int32 table from (prefix state, position of x(beta_i) in the G-orbit of
+    beta_i) to the next state, -1 where no element has that prefix; the last
+    state is the row index in ``arr``.
     """
-    dtype = rows.dtype.newbyteorder(">")
-    key = np.dtype((np.void, rows.shape[1] * dtype.itemsize))
-    keys, wanted = (np.ascontiguousarray(R, dtype=dtype).view(key).ravel() for R in (rows, X))
-    idx = np.searchsorted(keys, wanted)
-    if keys.take(idx, mode="clip").tobytes() != wanted.tobytes():
-        raise ElementNotInGroup("a permutation row is not among the sorted rows")
-    return idx
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr
+        order, degree = arr.shape
+        self.base = []
+        stab = arr
+        while len(stab) > 1:
+            beta = int(np.argmax((stab != np.arange(degree)).any(axis=0)))
+            self.base.append(beta)
+            stab = stab[stab[:, beta] == beta]
+        self.positions, self.tables = [], []
+        state, n_states = np.zeros(order, dtype=np.int32), 1
+        for level, beta in enumerate(self.base):
+            orbit = np.unique(arr[:, beta])
+            pos = np.full(degree, -1, dtype=np.int32)
+            pos[orbit] = np.arange(len(orbit), dtype=np.int32)
+            key = state * len(orbit) + pos[arr[:, beta]]
+            prefixes, nxt = np.unique(key, return_inverse=True)
+            if level == len(self.base) - 1:
+                if len(prefixes) != order:
+                    raise ValueError("the images of the base do not determine the elements")
+                nxt = np.arange(order)
+            table = np.full((n_states, len(orbit)), -1, dtype=np.int32)
+            table.ravel()[key] = nxt
+            self.positions.append(pos)
+            self.tables.append(table)
+            state, n_states = nxt.astype(np.int32), len(prefixes)
+
+    def locate(self, X: np.ndarray) -> np.ndarray:
+        """Row index of each row of X; ElementNotInGroup if a row is absent."""
+        X = np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != self.arr.shape[1]:
+            raise ElementNotInGroup(f"rows of shape {X.shape} are not elements of degree "
+                                    f"{self.arr.shape[1]}")
+        state = np.zeros(len(X), dtype=np.int32)
+        for beta, pos, table in zip(self.base, self.positions, self.tables):
+            col = pos.take(X[:, beta], mode="clip")
+            if (col < 0).any():
+                raise ElementNotInGroup("a permutation row maps a base point outside its orbit")
+            state = table[state, col]
+            if (state < 0).any():
+                raise ElementNotInGroup("a permutation row has no element with its base images")
+        if (self.arr[state] != X).any():
+            raise ElementNotInGroup("a permutation row is not an element of the group")
+        return state
+
+    def product_indices(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Row index of a * b for each row a of A and b of B, as a (len(A), len(B)) array.
+
+        Both blocks are checked to be elements; their products then are too,
+        so only the base images a[b[beta]] of each product are formed.
+        """
+        self.locate(A)
+        self.locate(B)
+        state = np.zeros((len(A), len(B)), dtype=np.int32)
+        for beta, pos, table in zip(self.base, self.positions, self.tables):
+            state *= table.shape[1]
+            state += pos[A][:, B[:, beta]]
+            state = table.ravel().take(state)
+        return state
 
 
 def _closure(gen_images, degree: int, cap: int, stop_at: int | None = None):
@@ -83,6 +140,7 @@ class Group:
         self._index = {p.images: i for i, p in enumerate(elements)}
         self._arr = None
         self._classes = None
+        self._class_map = None
 
     def __contains__(self, p: Perm) -> bool:
         return p.images in self._index
@@ -100,18 +158,21 @@ class Group:
             self._arr = np.array([p.images for p in self.elements], dtype=_row_dtype(self.degree))
         return self._arr
 
+    @cached_property
+    def locator(self) -> BaseLocator:
+        """Finds elements and products of elements among the rows of .arr."""
+        return BaseLocator(self.arr)
+
     def classes(self) -> list["ConjClass"]:
         if self._classes is None:
             self._classes = conjugacy_classes(self)
         return self._classes
 
-    @cached_property
+    @property
     def class_map(self) -> np.ndarray:
         """Index into classes() of the class of each element, aligned with .elements."""
-        class_map = np.empty(self.order, dtype=np.intp)
-        for ci, cl in enumerate(self.classes()):
-            class_map[locate_rows(self.arr, cl.arr)] = ci
-        return class_map
+        self.classes()
+        return self._class_map
 
     def class_index_of(self, p: Perm) -> int:
         """Index into classes() of the class containing p."""
@@ -203,35 +264,40 @@ def generate_group(generators: list[Perm], name: str = "", degree: int | None = 
 def conjugacy_classes(G: Group) -> list[ConjClass]:
     """Classes of G sorted by (element order, size, members), labelled nA, nB, ...
 
-    Processing elements in lexicographic order makes each representative the
-    smallest member of its class.
+    Each generator g acts on element indices by h -> g h g^-1; the classes are
+    the orbits of these index permutations.  Elements are sorted, so the
+    smallest index in a class is its lexicographically smallest member, the
+    representative.  Also fills G's class map.
     """
-    gen_pairs = [(g, g.inverse()) for g in G.generators]
-    assigned = set()
+    arr = G.arr
+    conj = []
+    for g in G.generators:
+        g_arr = np.asarray(g.images, dtype=arr.dtype)
+        conj.append(G.locator.locate(g_arr[arr[:, np.argsort(g_arr)]]))
+    seen = np.zeros(G.order, dtype=bool)
     raw = []
-    for seed in G.elements:
-        if seed in assigned:
+    for seed in range(G.order):
+        if seen[seed]:
             continue
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g, g_inv in gen_pairs:
-                    h2 = g * h * g_inv
-                    if h2 not in orbit:
-                        orbit.add(h2)
-                        nxt.append(h2)
-            frontier = nxt
-        assigned |= orbit
-        raw.append(ConjClass(tuple(sorted(orbit)), group_order=G.order))
-    raw.sort(key=lambda c: (c.element_order, c.size, tuple(m.images for m in c.members)))
+        seen[seed] = True
+        layers = [np.array([seed])]
+        while layers[-1].size:
+            frontier = np.unique(np.array([c[layers[-1]] for c in conj], dtype=np.intp))
+            layers.append(frontier[~seen[frontier]])
+            seen[layers[-1]] = True
+        idx = np.sort(np.concatenate(layers))
+        cl = ConjClass(tuple(G.elements[i] for i in idx), group_order=G.order)
+        cl._arr = arr[idx]
+        raw.append((cl.element_order, cl.size, seed, idx, cl))
+    raw.sort(key=lambda t: t[:3])
+    G._class_map = np.empty(G.order, dtype=np.intp)
     by_order: dict[int, int] = {}
-    for cl in raw:
-        i = by_order.get(cl.element_order, 0)
-        by_order[cl.element_order] = i + 1
-        cl.label = f"{cl.element_order}{_class_letter(i)}"
-    return raw
+    for ci, (order, _, _, idx, cl) in enumerate(raw):
+        G._class_map[idx] = ci
+        i = by_order.get(order, 0)
+        by_order[order] = i + 1
+        cl.label = f"{order}{_class_letter(i)}"
+    return [t[-1] for t in raw]
 
 
 def centralizer_count(G: Group, g: Perm, within: ConjClass | None = None) -> int:
@@ -436,6 +502,8 @@ def parse_group_file(path) -> tuple[str, int, list[Perm]]:
             name = line[5:].strip()
         elif line.startswith("degree "):
             degree = int(line[7:].strip())
+            if degree < 1:
+                raise UnknownSpec(f"{path}:{lineno}: degree must be at least 1, not {degree}")
         else:
             if degree is None:
                 raise UnknownSpec(f"{path}:{lineno}: generator before degree line")

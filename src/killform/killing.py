@@ -22,7 +22,7 @@ from .exactlinalg import (
     signature,
     spectrum,
 )
-from .groups import ConjClass, Group, class_size, locate_rows
+from .groups import ConjClass, Group, class_size
 from .perms import Perm
 
 MATRIX_CAP = 4096
@@ -114,20 +114,27 @@ class KillingForm:
         return f"KillingForm({what}, dim={self.matrix.dim})"
 
 
-def _form_matrix(basis_arr: np.ndarray, phi) -> IntSymMatrix:
-    """K[a][b] = phi(ab) over the basis rows; phi maps an array of product rows
-    to the values of a class function on them."""
+# larger blocks are no faster; blocks of 2^20 entries raised the peak memory of
+# the M11 class decompositions by about 7 MB
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _form_matrix(basis_arr: np.ndarray, phi_block) -> IntSymMatrix:
+    """K[a][b] = phi(ab) over the basis rows, filled in blocks of rows of about
+    _BLOCK_ENTRIES entries; phi_block maps a block of basis rows a to the values
+    phi(ab), b over the basis, of a class function."""
     m = len(basis_arr)
     K = np.empty((m, m), dtype=np.int64)
-    for i, a in enumerate(basis_arr):
-        K[i] = phi(a[basis_arr])  # row b -> images of a * b
+    step = max(1, _BLOCK_ENTRIES // m)
+    for i in range(0, m, step):
+        K[i:i + step] = phi_block(basis_arr[i:i + step])
     return IntSymMatrix(K)
 
 
-def _class_function(G: Group, per_class):
-    """x -> per_class[class of x], for rows x of elements of G."""
+def _class_function(G: Group, per_class, basis_arr: np.ndarray):
+    """A -> per_class[class of ab] for rows a of A and b of basis_arr, all in G."""
     per_element = np.asarray(per_class, dtype=np.int64)[G.class_map]
-    return lambda X: per_element[locate_rows(G.arr, X)]
+    return lambda A: per_element[G.locator.product_indices(A, basis_arr)]
 
 
 def _cycle_lengths(X: np.ndarray) -> np.ndarray:
@@ -145,7 +152,8 @@ def _cycle_lengths(X: np.ndarray) -> np.ndarray:
 
 
 def _cycle_type_function(C: ConjClass):
-    """x -> |Z(x) ∩ C| read by the cycle type of x, for a full class C of S_n."""
+    """A -> |Z(ab) ∩ C| for rows a of A and b of C, read by the cycle type of
+    ab, for a full class C of S_n."""
     types = _cycle_lengths(C.arr)
     mu = [len(c) for c in C.representative.cycles()]
     if (types != types[0]).any() or C.size != class_size(C.degree, mu):
@@ -163,7 +171,7 @@ def _cycle_type_function(C: ConjClass):
             values.append(by_type[key])
         return np.array(values, dtype=np.int64)[inverse.ravel()]
 
-    return phi
+    return lambda A: np.array([phi(a[C.arr]) for a in A])
 
 
 def killing_matrix(G: Group | None, C: ConjClass, cap: int = MATRIX_CAP) -> KillingForm:
@@ -181,7 +189,11 @@ def killing_matrix(G: Group | None, C: ConjClass, cap: int = MATRIX_CAP) -> Kill
     if G is None:
         phi = _cycle_type_function(C)
     else:
-        phi = _class_function(G, [C.commuting_count(cl.representative) for cl in G.classes()])
+        in_class = G.class_map[G.locator.locate(C.arr)]
+        if (in_class != in_class[0]).any() or C.size != G.classes()[in_class[0]].size:
+            raise ValueError(f"{C!r} is not a conjugacy class of {G.name}")
+        phi = _class_function(G, [C.commuting_count(cl.representative) for cl in G.classes()],
+                              C.arr)
     return KillingForm(_form_matrix(C.arr, phi), C.members, group=G, conj_class=C)
 
 
@@ -208,7 +220,7 @@ def universal_killing(G: Group, cap: int = MATRIX_CAP, include_identity: bool = 
     m = len(basis)
     if m > cap:
         raise CapExceeded(f"universal basis size {m} exceeds matrix cap {cap}")
-    phi = _class_function(G, [G.order // cl.size - 1 for cl in G.classes()])
+    phi = _class_function(G, [G.order // cl.size - 1 for cl in G.classes()], G.arr[off:])
     return KillingForm(_form_matrix(G.arr[off:], phi), basis, group=G, universal=True,
                        includes_identity=include_identity)
 

@@ -28,10 +28,12 @@ class Perm:
     def from_cycles(cycles, degree: int) -> Perm:
         """Build from 0-based disjoint cycles, e.g. [(0,1,2),(3,4)]."""
         images = list(range(degree))
+        seen = set()
         for cyc in cycles:
             for i, pt in enumerate(cyc):
-                if images[pt] != pt:
+                if pt in seen:
                     raise ValueError(f"point {pt} appears twice")
+                seen.add(pt)
                 images[pt] = cyc[(i + 1) % len(cyc)]
         return Perm(images)
 
@@ -51,10 +53,15 @@ class Perm:
         if not re.fullmatch(r"(\(\s*\d+(?:[,\s]+\d+)*\s*\))+", text):
             raise ValueError(f"bad cycle notation: {text!r}")
         cycles = []
+        seen = set()
         for group in re.findall(r"\(([^()]*)\)", text):
             pts = [int(tok) - 1 for tok in re.split(r"[,\s]+", group.strip())]
             if any(p < 0 for p in pts):
                 raise ValueError(f"point out of range in {text!r}")
+            for p in pts:
+                if p in seen:
+                    raise ValueError(f"point {p + 1} appears twice in {text!r}")
+                seen.add(p)
             if len(pts) > 1:
                 cycles.append(tuple(pts))
         if degree is None:

@@ -277,6 +277,46 @@ def test_main_partial_report_exit(capsys):
     assert "ERROR(CapExceeded)" in out
 
 
+@pytest.mark.parametrize("cap, code", [(60, 0), (59, 2)])
+def test_main_element_cap_boundary(cap, code, capsys):
+    assert main(["survey", "A5", "--cap", str(cap)]) == code
+    if code:
+        assert "exceeds cap 59" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix_cap, code", [(20, 0), (19, 4)])
+def test_main_matrix_cap_boundary(matrix_cap, code, capsys):
+    assert main(["survey", "A5", "--matrix-cap", str(matrix_cap), "--format", "csv"]) == code
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    rows = [l.split(",") for l in lines[1:]]
+    errors = [r[0] for r in rows if r[2].startswith("ERROR(")]
+    assert [r[0] for r in rows] == ["2A", "3A", "5A", "5B"]
+    assert errors == ([] if code == 0 else ["3A"])
+    assert all(r[2] == "ERROR(CapExceeded)" for r in rows if r[0] in errors)
+
+
+def test_main_jobs_beyond_class_count(capsys):
+    outputs = []
+    for jobs in ("1", "100"):
+        assert main(["survey", "A5", "--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("degree -2\n", "degree must be at least 1"),
+    ("degree 0\n", "degree must be at least 1"),
+    ("degree 4\n(1,1)\n", "point 1 appears twice"),
+    ("degree 4\n(1,2)(3,3)\n", "point 3 appears twice"),
+    ("degree 4\n(1,2)(2,3)\n", "point 2 appears twice"),
+])
+def test_main_rejects_malformed_group_file(tmp_path, body, message, capsys):
+    path = tmp_path / "bad.grp"
+    path.write_text("name bad\n" + body, encoding="utf-8")
+    assert main(["survey", f"file:{path}"]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, selector", [("survey", []), ("decompose", ["5A"])])
 def test_wide_degree_group_file_exits_0(wide_s5_file, command, selector, capsys):
     code = main([command, f"file:{wide_s5_file}", *selector])

@@ -1,8 +1,15 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from conftest import WIDE_S5_GRP
+
 from killform.errors import CapExceeded, DegreeMismatch, ElementNotInGroup, UnknownSpec
 from killform.groups import (
+    BaseLocator,
     alternating_group,
     build_named_group,
     centralizer_count,
@@ -10,7 +17,6 @@ from killform.groups import (
     conjugacy_classes,
     generate_group,
     is_simple_via_classes,
-    locate_rows,
     parse_group_file,
     psl2,
     psl3,
@@ -140,23 +146,131 @@ def test_class_map_matches_class_members():
 
 
 @pytest.mark.parametrize("dtype", [np.uint16, ">u2"])
-def test_locate_rows_follows_tuple_order(dtype):
-    # [0, 256] < [1, 0] as tuples, though the low byte of 256 is 0
-    rows = np.array([[0, 256], [1, 0], [1, 2], [256, 0], [256, 1]], dtype=dtype)
-    X = rows[[3, 0, 4, 4, 1]]
-    assert locate_rows(rows, X).tolist() == [3, 0, 4, 4, 1]
-    for absent in ([1, 1], [255, 255], [300, 0]):
+def test_locate_reads_uint16_rows_and_rejects_absent(wide_s5_file, dtype):
+    g = build_named_group(f"file:{wide_s5_file}")
+    X = g.arr[[3, 0, 4, 4, 1]].astype(dtype)
+    assert g.locator.locate(X).tolist() == [3, 0, 4, 4, 1]
+    swap_low = list(range(300))
+    swap_low[0], swap_low[1] = 1, 0
+    # 256 and 0 share their low byte: (2,256) is a member, (1,2) is not
+    fake_256 = list(Perm.parse("(2,256)", 300).images)
+    fake_256[1], fake_256[0] = 0, 1
+    for absent in (swap_low, fake_256, [300] + list(range(1, 300))):
         with pytest.raises(ElementNotInGroup):
-            locate_rows(rows, np.array([absent], dtype=dtype))
+            g.locator.locate(np.array([absent], dtype=dtype))
+    with pytest.raises(ElementNotInGroup):
+        g.locator.locate(g.arr[:, :299])
 
 
 def test_wide_degree_group_uses_tuple_order(wide_s5_file):
     g = build_named_group(f"file:{wide_s5_file}")
     assert g.arr.dtype.itemsize == 2
-    assert locate_rows(g.arr, g.arr).tolist() == list(range(g.order))
+    assert g.locator.locate(g.arr).tolist() == list(range(g.order))
     assert [c.size for c in g.classes()] == [1, 10, 15, 20, 30, 24, 20]
     for ci, c in enumerate(g.classes()):
         assert all(g.class_index_of(h) == ci for h in c.members)
+
+
+@lru_cache(maxsize=None)
+def _group(spec: str):
+    if spec == "S5@300":
+        gens = [Perm.parse(line, 300) for line in WIDE_S5_GRP.splitlines()[2:]]
+        return generate_group(gens, name=spec)
+    return build_named_group(spec)
+
+
+LOCATOR_GROUPS = ["S4", "A7", "file:data/m11.grp", "file:data/psu33.grp", "PSL(2,17)", "S5@300"]
+
+
+@pytest.mark.parametrize("spec", LOCATOR_GROUPS)
+def test_locator_finds_every_element_at_its_index(spec):
+    g = _group(spec)
+    assert g.locator.locate(g.arr).tolist() == list(range(g.order))
+    assert g.locator.locate(g.arr[::-1]).tolist() == list(range(g.order))[::-1]
+
+
+@pytest.mark.parametrize("spec", LOCATOR_GROUPS)
+def test_product_indices_match_index_of_products(spec):
+    g = _group(spec)
+    rng = np.random.default_rng(0)
+    ia, ib = rng.integers(g.order, size=17), rng.integers(g.order, size=23)
+    got = g.locator.product_indices(g.arr[ia], g.arr[ib])
+    want = [[g.index(g.elements[a] * g.elements[b]) for b in ib] for a in ia]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("spec", LOCATOR_GROUPS[1:])
+def test_locator_rejects_rows_outside_the_group(spec):
+    g = _group(spec)
+    loc = g.locator
+    free = [p for p in range(g.degree) if p not in loc.base]
+    x = g.arr[g.order // 2]
+    # agrees with a member on the base and is a permutation, but not in G
+    y = x.copy()
+    y[free[-2]], y[free[-1]] = x[free[-1]], x[free[-2]]
+    # a transposition: S5@300 moves only 5 points and holds none of them
+    t = np.arange(g.degree, dtype=g.arr.dtype)
+    t[[0, 1]] = t[[1, 0]]
+    for row in (y, t):
+        with pytest.raises(ElementNotInGroup):
+            loc.locate(row[None])
+        block = np.stack([g.arr[0], row])
+        for A, B in ((g.arr[:3], block), (block, g.arr[:3])):
+            with pytest.raises(ElementNotInGroup):
+                loc.product_indices(A, B)
+
+
+def test_locator_built_lazily_under_racing_threads():
+    # survey --jobs shares one group between threads
+    g = psl2(7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda: g.locator.locate(g.arr)) for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.tolist() == list(range(g.order)) for r in results)
+
+
+def test_locator_build_rejects_rows_its_base_cannot_tell_apart():
+    g = symmetric_group(4)
+    with pytest.raises(ValueError, match="base"):
+        BaseLocator(np.concatenate([g.arr, g.arr[5:6]]))
+
+
+def _classes_by_perm_bfs(g):
+    """Reference classes: orbits of h -> g h g^-1 found on Perm objects."""
+    gen_pairs = [(s, s.inverse()) for s in g.generators]
+    assigned, orbits = set(), []
+    for seed in g.elements:
+        if seed in assigned:
+            continue
+        orbit, frontier = {seed}, [seed]
+        while frontier:
+            frontier = [s * h * s_inv for h in frontier for s, s_inv in gen_pairs]
+            frontier = [h for h in set(frontier) if h not in orbit]
+            orbit.update(frontier)
+        assigned |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    orbits.sort(key=lambda o: (o[0].order(), len(o), o))
+    labels, by_order = [], {}
+    for o in orbits:
+        i = by_order.get(o[0].order(), 0)
+        by_order[o[0].order()] = i + 1
+        labels.append(f"{o[0].order()}{'ABCDEFGHIJKLMNOPQRSTUVWXYZ'[i]}")
+    return list(zip(labels, orbits))
+
+
+@pytest.mark.parametrize("spec", ["S4", "S5", "A7", "file:data/m11.grp", "file:data/psu33.grp"])
+def test_conjugacy_classes_match_perm_bfs(spec):
+    g = _group(spec)
+    classes = conjugacy_classes(g)
+    assert [(c.label, c.members) for c in classes] == _classes_by_perm_bfs(g)
+    for ci, c in enumerate(classes):
+        assert c.arr.tolist() == [list(m.images) for m in c.members]
+        assert (g.class_map[g.locator.locate(c.arr)] == ci).all()
 
 
 def test_centralizer_counts_s3():

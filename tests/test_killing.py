@@ -7,6 +7,7 @@ import pytest
 
 from killform.errors import (
     CapExceeded,
+    ElementNotInGroup,
     NotCentral,
     RowSumMismatch,
     SingularMatrix,
@@ -202,6 +203,20 @@ def test_cycle_type_route_matches_group_route(n):
         assert np.array_equal(K.matrix.data, killing_matrix(G, C).matrix.data), (n, C.label)
 
 
+def test_class_function_route_rejects_a_set_that_is_not_a_class():
+    S4 = symmetric_group(4)
+    # two of the three double transpositions: the brute force gives [[2, 2], [2, 2]],
+    # which no class function of the product reproduces
+    part = ConjClass((Perm.parse("(1,3)", 4), Perm.parse("(2,4)", 4)))
+    assert killing_matrix_bruteforce(part).data.tolist() == [[2, 2], [2, 2]]
+    mixed = ConjClass(tuple(sorted([Perm.parse("(1,2)", 4), Perm.parse("(1,2)(3,4)", 4)])))
+    for C in (part, mixed):
+        with pytest.raises(ValueError):
+            killing_matrix(S4, C)
+    with pytest.raises(ElementNotInGroup):
+        killing_matrix(S4, class_by_label(symmetric_group(5), "2A"))
+
+
 def test_cycle_type_route_rejects_a_partial_class():
     A5 = alternating_group(5)
     with pytest.raises(ValueError):
@@ -295,9 +310,11 @@ def test_casimir_not_central_on_fake_class():
     c3 = Perm.parse("(1,2,3)")
     fake = ConjClass(members=(c3,), label="fake", group_order=6)
     G = symmetric_group(3)
-    K = killing_matrix(G, fake)
-    assert K.matrix.data.tolist() == [[1]]  # |Z(c3^2) ∩ {c3}| = 1
-    with pytest.raises(NotCentral):
+    with pytest.raises(ValueError):
+        killing_matrix(G, fake)
+    from killform.exactlinalg import IntSymMatrix
+    K = KillingForm(IntSymMatrix([[1]]), fake.members, group=G, conj_class=fake)
+    with pytest.raises(NotCentral):  # |Z(c3^2) ∩ {c3}| = 1
         casimir(K)
 
 

@@ -55,8 +55,11 @@ def test_parse_rejects_garbage():
         Perm.parse("(1,2", 4)
     with pytest.raises(ValueError):
         Perm.parse("(1,9)", 4)
-    with pytest.raises(ValueError):
-        Perm.parse("(1,2)(2,3)", 4)
+    for text in ("(1,2)(2,3)", "(1,1)", "(1,2)(3,3)", "(1)(1,2)"):
+        with pytest.raises(ValueError, match="appears twice"):
+            Perm.parse(text, 4)
+    with pytest.raises(ValueError, match="point 0 appears twice"):
+        Perm.from_cycles([(0, 0)], 2)
 
 
 def test_conj_by():
