@@ -178,10 +178,6 @@ class Report:
         return "\n".join(out) + "\n"
 
 
-def _build(spec: str, cap: int) -> Group:
-    return build_named_group(spec, cap=cap)
-
-
 def _survey_one(G: Group, C: ConjClass, matrix_cap: int, seed: int) -> SurveyRow:
     try:
         K = killing_matrix(G, C, cap=matrix_cap)
@@ -219,15 +215,19 @@ def _conjecture_warnings(G: Group, classes: list, rows: list) -> list:
     return out
 
 
-def cmd_survey(group_spec: str, cap: int = DEFAULT_ELEMENT_CAP,
-               matrix_cap: int = MATRIX_CAP, jobs: int = 1, seed: int = 0) -> Report:
-    G = _build(group_spec, cap)
-    classes = nontrivial_classes(G)
+def _per_class(fn, classes: list, jobs: int) -> list:
+    """[fn(C) for C in classes], on `jobs` threads when jobs > 1."""
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda C: _survey_one(G, C, matrix_cap, seed), classes))
-    else:
-        rows = [_survey_one(G, C, matrix_cap, seed) for C in classes]
+            return list(pool.map(fn, classes))
+    return [fn(C) for C in classes]
+
+
+def cmd_survey(group_spec: str, cap: int = DEFAULT_ELEMENT_CAP,
+               matrix_cap: int = MATRIX_CAP, jobs: int = 1, seed: int = 0) -> Report:
+    G = build_named_group(group_spec, cap=cap)
+    classes = nontrivial_classes(G)
+    rows = _per_class(lambda C: _survey_one(G, C, matrix_cap, seed), classes, jobs)
     report = Report(command="survey", group_name=G.name, group_order=G.order, seed=seed,
                     columns=SURVEY_COLUMNS, rows=[r.cells() for r in rows],
                     warnings=_conjecture_warnings(G, classes, rows))
@@ -236,7 +236,7 @@ def cmd_survey(group_spec: str, cap: int = DEFAULT_ELEMENT_CAP,
     return report
 
 
-def _load_table(G: Group, char_table_path: str | None, cap: int) -> CharTable:
+def _load_table(G: Group, char_table_path: str | None) -> CharTable:
     if char_table_path:
         with open(char_table_path, "r", encoding="utf-8") as fh:
             return CharTable.from_json(fh.read())
@@ -246,9 +246,9 @@ def _load_table(G: Group, char_table_path: str | None, cap: int) -> CharTable:
 def cmd_decompose(group_spec: str, class_selector: str,
                   cap: int = DEFAULT_ELEMENT_CAP, matrix_cap: int = MATRIX_CAP,
                   char_table: str | None = None, seed: int = 0) -> Report:
-    G = _build(group_spec, cap)
+    G = build_named_group(group_spec, cap=cap)
     C = resolve_class(G, class_selector)
-    T = _load_table(G, char_table, cap)
+    T = _load_table(G, char_table)
     K = killing_matrix(G, C, cap=matrix_cap)
     D = eigenspace_decomposition(K, T)
     findings = integrality_audit(D, T)
@@ -268,7 +268,7 @@ def cmd_decompose(group_spec: str, class_selector: str,
 def cmd_casimir(group_spec: str, class_selector: str,
                 cap: int = DEFAULT_ELEMENT_CAP, matrix_cap: int = MATRIX_CAP,
                 seed: int = 0) -> Report:
-    G = _build(group_spec, cap)
+    G = build_named_group(group_spec, cap=cap)
     C = resolve_class(G, class_selector)
     K = killing_matrix(G, C, cap=matrix_cap)
     try:
@@ -288,7 +288,7 @@ def cmd_casimir(group_spec: str, class_selector: str,
 
 def cmd_spectrogram(group_spec: str, cap: int = DEFAULT_ELEMENT_CAP,
                     matrix_cap: int = MATRIX_CAP, jobs: int = 1, seed: int = 0) -> Report:
-    G = _build(group_spec, cap)
+    G = build_named_group(group_spec, cap=cap)
     classes = nontrivial_classes(G)
 
     def one(C: ConjClass) -> list:
@@ -299,12 +299,7 @@ def cmd_spectrogram(group_spec: str, cap: int = DEFAULT_ELEMENT_CAP,
         except KillformError as exc:
             return [[C.label, f"ERROR({type(exc).__name__})", ""]]
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(one, classes))
-    else:
-        chunks = [one(C) for C in classes]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for chunk in _per_class(one, classes, jobs) for row in chunk]
     report = Report(command="spectrogram", group_name=G.name, group_order=G.order,
                     seed=seed, columns=["class", "eigenvalue", "multiplicity"], rows=rows)
     if any(r[1].startswith("ERROR(") for r in rows):

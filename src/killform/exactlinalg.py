@@ -4,12 +4,13 @@ All elimination mod p goes through one blocked routine, `_eliminate`, which
 returns the rank, the pivot columns and a nullspace basis over GF(p).  Rank is
 certified exactly without full big-integer elimination: the rank mod a random
 22-bit prime bounds the rank from below (a pivot minor nonzero mod p is nonzero
-over Q).  When the matrix is singular mod p, nullspaces mod further 22-bit
-primes (small enough that the float64 panel updates stay exact) are CRT-lifted
-to rationals, and the lifted basis is verified exactly by one matrix product
-per 31-bit prime; the verified nullity bounds the rank from above.
-Fraction-free Bareiss remains as the small-dimension path and as an
-independent oracle.
+over Q).  When the matrix is singular mod p, `_lift_nullspace` CRT-lifts
+nullspaces mod further 22-bit primes (small enough that the float64 panel
+updates stay exact) to rationals, and verifies the lifted basis exactly by one
+matrix product per 31-bit prime; the verified nullity bounds the rank from
+above.  The exact inverse is the same lift applied to [M | I], whose nullspace
+is [-M^-1; I].  Fraction-free Bareiss remains as the rank fallback when the
+lift stalls and as an independent oracle.
 
 Floating eigenwork goes through LAPACK (numpy.linalg.eigh).
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -238,8 +239,9 @@ def rank_mod_p(M: IntSymMatrix, p: int) -> int:
 # ---------------------------------------------------------------------------
 # CRT / rational reconstruction
 
-def _rational_reconstruct(r: int, m: int) -> Fraction | None:
-    """Wang reconstruction: find n/d == r (mod m) with |n|, |d| <= sqrt(m/2)."""
+def _rational_reconstruct(r: int, m: int) -> tuple[int, int] | None:
+    """Wang reconstruction: (n, d) with n/d == r (mod m), d > 0 and
+    |n|, d <= sqrt(m/2), in lowest terms."""
     bound = isqrt(m // 2)
     r0, t0 = m, 0
     r1, t1 = r % m, 1
@@ -249,33 +251,72 @@ def _rational_reconstruct(r: int, m: int) -> Fraction | None:
         t0, t1 = t1, t0 - q * t1
     if t1 == 0 or abs(t1) > bound or gcd(r1, abs(t1)) != 1:
         return None
-    if t1 < 0:
-        return Fraction(-r1, -t1)
-    return Fraction(r1, t1)
+    return (-r1, -t1) if t1 < 0 else (r1, t1)
 
 
-def _verify_integer_nullspace(M: IntSymMatrix, vectors: list[list[int]]) -> bool:
-    """Exact check M @ v == 0 for every v: one matmul of the whole basis per
-    31-bit prime, with primes taken until their product exceeds |M @ v|."""
+def _verify_integer_nullspace(A: np.ndarray, vectors: list[list[int]]) -> bool:
+    """Exact check A @ v == 0 for every v: one matmul of the whole basis per
+    31-bit prime, with primes taken until their product exceeds |A @ v|."""
     if not all(any(v) for v in vectors):
         return False
     V = np.array(vectors, dtype=object).T
     max_abs = max((abs(x) for v in vectors for x in v), default=0)
-    bound = M.dim * int(np.abs(M.data).max(initial=0)) * max_abs
+    bound = A.shape[1] * int(np.abs(A).max(initial=0)) * max_abs
     rng = random.Random(0xC0FFEE)
     modulus = 1
     while modulus <= bound:
         p = random_prime_31(rng)
         if modulus % p == 0:
             continue
-        Mp = M.data % p
+        Ap = A % p
         Vp = (V % p).astype(np.int64)
         lo = Vp & 0xFFFF
         hi = Vp >> 16
-        if np.any(((Mp @ lo) % p + ((Mp @ hi) % p << 16)) % p):
+        if np.any(((Ap @ lo) % p + ((Ap @ hi) % p << 16)) % p):
             return False
         modulus *= p
     return True
+
+
+def _lift_nullspace(A: np.ndarray,
+                    rng: random.Random) -> tuple[int, list[int], list[list[int]]] | None:
+    """Rank, pivot columns and a verified integer nullspace basis of A over Q,
+    or None if 64 primes do not settle them.
+
+    The nullspaces mod 22-bit primes that agree on the consensus (highest
+    rank, then lexicographically smallest pivots: an unlucky prime can only
+    lower the rank or push a pivot right) are CRT-combined, reconstructed as
+    rationals, scaled to integers and checked exactly.  The pivot minor is
+    nonzero over Q, and the verified vectors are independent (a multiple of
+    the identity on the free columns), so the consensus rank is the rank.
+    """
+    best: tuple[int, list[int]] | None = None
+    for _ in range(64):
+        p = random_prime_22(rng)
+        r, pivots, null_p = _eliminate(A, p)
+        if r == A.shape[1]:
+            return r, pivots, []
+        if best is None or (-r, pivots) < (-best[0], best[1]):
+            # residues of the nullspace basis modulo the product of the primes
+            # that agree on the consensus structure
+            best = r, pivots
+            residues, modulus = null_p.T.astype(object), p
+        elif (r, pivots) != best:
+            continue  # unlucky prime for the consensus structure; discard it
+        else:
+            t = (null_p.T - residues) % p * pow(modulus % p, p - 2, p) % p
+            residues, modulus = residues + modulus * t, modulus * p
+        lifted = []
+        for acc in residues:
+            fracs = [_rational_reconstruct(res, modulus) for res in acc]
+            if None in fracs:
+                break
+            den = lcm(*(d for _, d in fracs))
+            lifted.append([n * (den // d) for n, d in fracs])
+        else:
+            if _verify_integer_nullspace(A, lifted):
+                return best[0], best[1], lifted
+    return None
 
 
 def _rank_bareiss(M: IntSymMatrix) -> int:
@@ -315,45 +356,12 @@ def exact_rank(M: IntSymMatrix, seed: int = 0, cap: int = EXACT_CAP) -> int:
         raise CapExceeded(f"dim {M.dim} exceeds exact cap {cap}")
     if M.dim == 0:
         return 0
-    if M.dim <= 12:
-        return _rank_bareiss(M)
     rng = random.Random(seed)
     p0 = random_prime_22(rng)
     if rank_mod_p(M, p0) == M.dim:
         return M.dim  # a nonzero n x n minor mod p is nonzero over Q
-    best_rank = -1
-    best_pivots: list[int] | None = None
-    for _ in range(64):
-        p = random_prime_22(rng)
-        r, pivots, null_p = _eliminate(M.data, p)
-        if r == M.dim:
-            return M.dim
-        if r > best_rank:
-            # residues of the nullspace basis modulo the product of the primes
-            # that agree on the consensus structure
-            best_rank, best_pivots = r, pivots
-            residues, modulus = null_p.T.astype(object), p
-        elif r < best_rank or pivots != best_pivots:
-            continue  # unlucky prime for the consensus structure; discard it
-        else:
-            t = (null_p.T - residues) % p * pow(modulus % p, p - 2, p) % p
-            residues, modulus = residues + modulus * t, modulus * p
-        lifted = []
-        for acc in residues:
-            fracs = [_rational_reconstruct(res, modulus) for res in acc]
-            if any(f is None for f in fracs):
-                break
-            den = 1
-            for f in fracs:
-                den = den * f.denominator // gcd(den, f.denominator)
-            lifted.append([int(f * den) for f in fracs])
-        else:
-            if _verify_integer_nullspace(M, lifted):
-                # nullity >= dim - best_rank (free-column pattern keeps the
-                # verified vectors independent) and rank >= best_rank from the
-                # mod-p pivot minor: together that pins rank = best_rank.
-                return best_rank
-    return _rank_bareiss(M)  # certification stalled; exact but slow
+    lifted = _lift_nullspace(M.data, rng)
+    return _rank_bareiss(M) if lifted is None else lifted[0]  # Bareiss: slow, on a stall
 
 
 # ---------------------------------------------------------------------------
@@ -482,47 +490,41 @@ def integer_eigen_multiplicity(M: IntSymMatrix, k: int, seed: int = 0) -> int:
 
 
 def connected_components(M: IntSymMatrix) -> list[list[int]]:
-    """Components of the graph with an edge (i,j) wherever M[i][j] != 0."""
-    n = M.dim
-    seen = np.zeros(n, dtype=bool)
+    """Components of the graph with an edge (i,j) wherever M[i][j] != 0, each
+    sorted, in order of their smallest member."""
+    A = M.data != 0
+    seen = np.zeros(M.dim, dtype=bool)
     comps = []
-    for s in range(n):
+    for s in range(M.dim):
         if seen[s]:
             continue
-        comp = []
-        frontier = [s]
-        seen[s] = True
-        while frontier:
-            i = frontier.pop()
-            comp.append(i)
-            for j in np.nonzero(M.data[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    frontier.append(int(j))
-        comps.append(sorted(comp))
+        before = seen.copy()
+        frontier = np.zeros(M.dim, dtype=bool)
+        frontier[s] = True
+        while frontier.any():
+            seen |= frontier
+            frontier = A[frontier].any(axis=0) & ~seen
+        comps.append(np.flatnonzero(seen & ~before).tolist())
     return comps
 
 
 def exact_inverse(M: IntSymMatrix, cap: int = INVERSE_CAP) -> list[list[Fraction]]:
-    """Exact rational inverse by Gauss-Jordan over Fraction."""
+    """Exact rational inverse, read off the lifted nullspace of [M | I].
+
+    For nonsingular M the pivots of [M | I] are its first n columns, and the
+    nullspace basis normalised on the free columns is [-M^-1; I]: column j is
+    lifted as d_j * [-M^-1 e_j; e_j] with integer d_j > 0.
+    """
     n = M.dim
     if n > cap:
         raise CapExceeded(f"dim {n} exceeds inverse cap {cap}")
-    aug = [
-        [Fraction(int(M.data[i, j])) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix(f"column {col} has no pivot")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    r = exact_rank(M)
+    if r < n:
+        raise SingularMatrix(f"rank {r} is below dim {n}")
+    lifted = _lift_nullspace(np.hstack([M.data, np.eye(n, dtype=np.int64)]),
+                             random.Random(0x1A7E))
+    if lifted is None or lifted[1] != list(range(n)):
+        # M is certified nonsingular, so only the 64-prime cap can stop the lift
+        raise CapExceeded(f"the inverse of a dim {n} matrix did not lift within 64 primes")
+    V = lifted[2]
+    return [[Fraction(-V[j][i], V[j][n + j]) for j in range(n)] for i in range(n)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -301,36 +302,34 @@ class CasimirExpansion:
         return " ".join(parts) if parts else "0"
 
 
-def casimir(K: KillingForm, inverse_cap: int = 512) -> CasimirExpansion:
-    """Quadratic Casimir of a nondegenerate class calculus, in the theta basis."""
+def casimir(K: KillingForm) -> CasimirExpansion:
+    """Quadratic Casimir sum_{a,b} K^{ab} * (a*b) of a nondegenerate class
+    calculus, in the theta basis.
+
+    The exact inverse (SingularMatrix if the form is degenerate) is written
+    over one common denominator, and its numerators are summed at the group
+    index of each product ab; the sums must be constant on every class of G.
+    """
     if not K.is_class_calculus:
         raise ValueError("Casimir is defined for class calculi here")
     if K.group is None:
         raise ValueError("Casimir expansion needs the ambient group")
-    G = K.group
-    Kinv = exact_inverse(K.matrix, cap=inverse_cap)  # SingularMatrix if degenerate
-    coeffs: dict[tuple, Fraction] = {}
-    members = K.basis
-    for i, a in enumerate(members):
-        row = Kinv[i]
-        for j, b in enumerate(members):
-            q = row[j]
-            if q:
-                key = (a * b).images
-                coeffs[key] = coeffs.get(key, Fraction(0)) + q
-    e_coeff = coeffs.pop(G.identity.images, Fraction(0))
-    theta: dict[str, Fraction] = {}
-    for cl in G.classes():
-        if cl.is_trivial():
-            continue
-        vals = {coeffs.pop(h.images, Fraction(0)) for h in cl.members}
+    G, C = K.group, K.conj_class
+    Kinv = exact_inverse(K.matrix)
+    den = lcm(*(q.denominator for row in Kinv for q in row))
+    num = np.array([[q.numerator * (den // q.denominator) for q in row] for row in Kinv],
+                   dtype=object)
+    sums = np.zeros(G.order, dtype=object)
+    np.add.at(sums, G.locator.product_indices(C.arr, C.arr).ravel(), num.ravel())
+    e_coeff, theta = Fraction(0), {}
+    for ci, cl in enumerate(G.classes()):
+        vals = sorted(Fraction(int(x), den) for x in set(sums[G.class_map == ci]))
         if len(vals) > 1:
-            raise NotCentral(f"coefficients vary over class {cl.label}: {sorted(vals)[:3]}")
-        (q,) = vals
-        if q:
-            theta[cl.label] = q
-    if coeffs:
-        raise NotCentral("Casimir has support outside the group (construction bug)")
+            raise NotCentral(f"coefficients vary over class {cl.label}: {vals[:3]}")
+        if cl.is_trivial():
+            e_coeff = vals[0]
+        elif vals[0]:
+            theta[cl.label] = vals[0]
     return CasimirExpansion(e_coeff=e_coeff, theta_coeffs=theta)
 
 

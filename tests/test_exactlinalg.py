@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from killform import exactlinalg
 from killform.errors import CapExceeded, SingularMatrix
 from killform.exactlinalg import (
     IntSymMatrix,
@@ -19,6 +20,7 @@ from killform.exactlinalg import (
     exact_rank,
     exact_rank_bareiss,
     integer_eigen_multiplicity,
+    random_prime_22,
     random_prime_31,
     rank_mod_p,
     signature,
@@ -115,11 +117,11 @@ def test_verify_integer_nullspace_checks_every_column():
         v = [0] * n
         v[at[r + j]] = 10**30 + j  # beyond int64, as CRT-lifted vectors can be
         basis.append(v)
-    assert _verify_integer_nullspace(M, basis)
+    assert _verify_integer_nullspace(M.data, basis)
     bad = [list(v) for v in basis]
     bad[-1][at[0]] = 1
-    assert not _verify_integer_nullspace(M, bad)
-    assert not _verify_integer_nullspace(M, basis + [[0] * n])
+    assert not _verify_integer_nullspace(M.data, bad)
+    assert not _verify_integer_nullspace(M.data, basis + [[0] * n])
 
 
 def test_verify_integer_nullspace_takes_enough_primes():
@@ -127,8 +129,8 @@ def test_verify_integer_nullspace_takes_enough_primes():
     # only the bound from the largest entry of v makes it draw a second one
     p1 = random_prime_31(random.Random(0xC0FFEE))
     M = IntSymMatrix([[1, 0], [0, 0]])
-    assert _verify_integer_nullspace(M, [[0, 1]])
-    assert not _verify_integer_nullspace(M, [[0, 1], [p1, 1]])
+    assert _verify_integer_nullspace(M.data, [[0, 1]])
+    assert not _verify_integer_nullspace(M.data, [[0, 1], [p1, 1]])
 
 
 def test_exact_rank_cap():
@@ -328,6 +330,26 @@ def test_exact_inverse_roundtrip():
                 assert acc == (1 if i == j else 0)
 
 
+def test_exact_inverse_survives_a_first_prime_dividing_det(monkeypatch):
+    # det M = p, so the first prime of the lift sees [M | I] with pivots (0, 2);
+    # the primes after it must replace that structure rather than be discarded
+    p = random_prime_22(random.Random(1))
+    M = IntSymMatrix([[p + 1, 1], [1, 1]])
+    draw = exactlinalg.random_prime_22
+    fooled = []
+
+    def p_first(rng):
+        if any(r is rng for r in fooled):
+            return draw(rng)
+        fooled.append(rng)
+        return p
+
+    monkeypatch.setattr(exactlinalg, "random_prime_22", p_first)
+    assert exact_inverse(M) == [[Fraction(1, p), Fraction(-1, p)],
+                                [Fraction(-1, p), Fraction(p + 1, p)]]
+    assert len(fooled) == 2  # the rank certificate's generator and the lift's
+
+
 def test_spectrum_basic():
     entries = spectrum(IntSymMatrix(3 * np.eye(3, dtype=int)))
     assert len(entries) == 1
@@ -373,6 +395,42 @@ def test_connected_components_permutation_invariant():
     perm = rng.permutation(8)
     P = M.data[np.ix_(perm, perm)]
     assert len(connected_components(IntSymMatrix(P))) == len(connected_components(M))
+
+
+def connected_components_oracle(M: IntSymMatrix) -> list[list[int]]:
+    """Scalar search over the nonzeros of each row, one vertex at a time."""
+    n = M.dim
+    seen = np.zeros(n, dtype=bool)
+    comps = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        comp = []
+        frontier = [s]
+        seen[s] = True
+        while frontier:
+            i = frontier.pop()
+            comp.append(i)
+            for j in np.nonzero(M.data[i])[0]:
+                if not seen[j]:
+                    seen[j] = True
+                    frontier.append(int(j))
+        comps.append(sorted(comp))
+    return comps
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 40), st.integers(0, 10**6))
+def test_connected_components_matches_scalar_search(n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-3, 4, size=(n, n)) * (rng.random((n, n)) < rng.uniform(0, 0.15))
+    A = np.triu(A) + np.triu(A, 1).T
+    isolated = rng.random(n) < 0.3
+    A[isolated] = 0
+    A[:, isolated] = 0
+    A[isolated, isolated] = rng.integers(0, 2, size=int(isolated.sum()))  # some keep a loop
+    M = IntSymMatrix(A)
+    assert connected_components(M) == connected_components_oracle(M)
 
 
 def test_dump_load_roundtrip():

@@ -299,6 +299,42 @@ def test_casimir_s4_transpositions():
     assert c.theta_coeffs == {"2A": Fraction(-1, 8)}
 
 
+# expansions computed by the earlier Fraction Gauss-Jordan inverse
+CASIMIR_FROZEN = {
+    ("A6", "2A"):
+        "38256255/36590447*e - 320400/36590447*theta[2A] + 91953/146361788*theta[3A]"
+        " + 91953/146361788*theta[3B] - 31904/36590447*theta[4A]"
+        " - 3475/73180894*theta[5A] - 3475/73180894*theta[5B]",
+    ("PSL(2,11)", "2A"):
+        "105795799/97118956*e - 67099137/5341542580*theta[2A]"
+        " - 1793421/2670771290*theta[3A] + 60695/267077129*theta[5A]"
+        " + 838947/1068308516*theta[5B] - 179361/5341542580*theta[6A]",
+    ("A7", "3A"):
+        "2011555/1536768*e + 187/128064*theta[2A] - 29329/1024512*theta[3A]"
+        " - 113/66816*theta[3B] + 1025/400896*theta[5A]",
+}
+
+
+@pytest.mark.parametrize("spec, label", sorted(CASIMIR_FROZEN))
+def test_casimir_frozen_expansions(spec, label):
+    G = build_named_group(spec)
+    c = casimir(killing_matrix(G, class_by_label(G, label)))
+    assert str(c) == CASIMIR_FROZEN[spec, label]
+
+
+def test_casimir_a7_6a_is_central():
+    # dim 210: casimir raises NotCentral unless the coefficients are constant
+    # on every class, and K 1 = lambda 1 makes the sum of all K^{ab} m / lambda
+    G = build_named_group("A7")
+    C = class_by_label(G, "6A")
+    K = killing_matrix(G, C)
+    c = casimir(K)
+    sizes = {cl.label: cl.size for cl in G.classes()}
+    total = c.e_coeff + sum(q * sizes[label] for label, q in c.theta_coeffs.items())
+    assert total == Fraction(C.size, int(K.matrix.data[0].sum()))
+    assert len(c.theta_coeffs) == 8
+
+
 def test_casimir_degenerate_raises():
     G = symmetric_group(3)
     with pytest.raises(SingularMatrix):
