@@ -27,7 +27,7 @@ from .errors import (
     OrthogonalityFailure,
     ProjectorMismatch,
 )
-from .exactlinalg import _eliminate, _is_prime
+from .exactlinalg import _eliminate, _is_prime, _matmul_mod
 from .gf import _least_primitive_root
 from .groups import ConjClass, Group
 from .killing import KillingForm
@@ -164,12 +164,6 @@ def _find_prime(exponent: int, order: int, limit: int = PRIME_SEARCH_LIMIT) -> i
         f"no prime = 1 mod {exponent} above 2*sqrt({order}) below {limit}")
 
 
-def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    if p < 2**28:
-        return (A @ B) % p
-    return np.array((A.astype(object) @ B.astype(object)) % p, dtype=object)
-
-
 def _poly_trim(f: list[int]) -> list[int]:
     while len(f) > 1 and f[-1] == 0:
         f.pop()
@@ -182,26 +176,31 @@ def _poly_mulmod(a, b, mod, p):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_rem(out, mod, p)
+    return _poly_divmod(out, mod, p)[1]
 
 
-def _poly_rem(f, mod, p):
-    f = list(f)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(f) - 1 >= dm and any(f):
-        c = f[-1] * inv_lead % p
+def _poly_divmod(a, b, p):
+    """Quotient and remainder of a by b over GF(p), coefficients from degree 0
+    up; b[-1] must be nonzero.  The remainder has degree below deg b, and is
+    [0] when b divides a."""
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 1)
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(r) > db:
+        c = r[-1] * inv_lead % p
         if c:
-            off = len(f) - 1 - dm
-            for i, mi in enumerate(mod):
-                f[off + i] = (f[off + i] - c * mi) % p
-        f.pop()
-    return _poly_trim(f if f else [0])
+            off = len(r) - 1 - db
+            q[off] = c
+            for i, bi in enumerate(b):
+                r[off + i] = (r[off + i] - c * bi) % p
+        r.pop()
+    return _poly_trim(q), _poly_trim(r or [0])
 
 
 def _poly_powmod(base, e, mod, p):
     result = [1]
-    base = _poly_rem(base, mod, p)
+    base = _poly_divmod(base, mod, p)[1]
     while e:
         if e & 1:
             result = _poly_mulmod(result, base, mod, p)
@@ -213,25 +212,9 @@ def _poly_powmod(base, e, mod, p):
 def _poly_gcd(a, b, p):
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b != [0]:
-        a, b = b, _poly_mod_poly(a, b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
     inv = pow(a[-1], p - 2, p)
     return [c * inv % p for c in a]
-
-
-def _poly_mod_poly(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a != [0]:
-        c = a[-1] * inv_lead % p
-        off = len(a) - 1 - db
-        for i, bi in enumerate(b):
-            a[off + i] = (a[off + i] - c * bi) % p
-        a.pop()
-        _poly_trim(a)
-        if not a:
-            a = [0]
-    return _poly_trim(a)
 
 
 def _poly_roots(f, p: int, rng) -> list[int]:
@@ -239,8 +222,6 @@ def _poly_roots(f, p: int, rng) -> list[int]:
     f = _poly_trim(list(f))
     xp = _poly_powmod([0, 1], p, f, p)
     xp_minus_x = list(xp) + [0] * (max(0, 2 - len(xp)))
-    if len(xp_minus_x) < 2:
-        xp_minus_x += [0] * (2 - len(xp_minus_x))
     xp_minus_x[1] = (xp_minus_x[1] - 1) % p
     g = _poly_gcd(_poly_trim(xp_minus_x), f, p)
     roots: list[int] = []
@@ -268,23 +249,8 @@ def _split_distinct(g, p: int, rng, out: list[int]) -> None:
         d = _poly_gcd(_poly_trim(h), g, p)
         if 0 < len(d) - 1 < deg:
             _split_distinct(d, p, rng, out)
-            _split_distinct(_poly_mod_div(g, d, p), p, rng, out)
+            _split_distinct(_poly_divmod(g, d, p)[0], p, rng, out)
             return
-
-
-def _poly_mod_div(a, b, p):
-    """Exact quotient a / b over GF(p)."""
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b) and _poly_trim(list(a)) != [0]:
-        c = a[-1] * inv_lead % p
-        off = len(a) - len(b)
-        q[off] = c
-        for i, bi in enumerate(b):
-            a[off + i] = (a[off + i] - c * bi) % p
-        a.pop()
-    return _poly_trim(q)
 
 
 def _charpoly_mod(R: np.ndarray, p: int) -> list[int]:
@@ -407,7 +373,17 @@ def character_table(G: Group, cap: int = CLASS_CAP) -> CharTable:
     Ms = _class_mult_matrices(G)
     vecs = _common_eigenvectors([M % p for M in Ms], p)
 
-    dual_class = [G.class_index_of(c.representative.inverse()) for c in classes]
+    # power_class[j][t] is the class of g_j^t, t < |g_j|; g_j^-1 = g_j^(|g_j| - 1)
+    orders = [c.element_order for c in classes]
+    powers = []
+    for c in classes:
+        x = np.arange(G.degree, dtype=c.arr.dtype)
+        for _ in range(c.element_order):
+            powers.append(x)
+            x = x[c.arr[0]]
+    located = G.class_map[G.locator.locate(np.array(powers))]
+    power_class = [pc.tolist() for pc in np.split(located, np.cumsum(orders)[:-1])]
+    dual_class = [pc[-1] for pc in power_class]
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
     order_mod = G.order % p
     isq = math.isqrt(G.order)
@@ -430,17 +406,6 @@ def character_table(G: Group, cap: int = CLASS_CAP) -> CharTable:
 
     w = _least_primitive_root(p)
     z = pow(w, (p - 1) // n, p)
-    orders = [c.element_order for c in classes]
-    power_class = []
-    for c in classes:
-        g = c.representative
-        pm = []
-        x = G.identity
-        for _ in range(c.element_order):
-            pm.append(G.class_index_of(x))
-            x = x * g
-        power_class.append(pm)
-
     chars = []
     for deg, chi_mod in rows:
         vals = []

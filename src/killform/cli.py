@@ -30,7 +30,7 @@ from .groups import DEFAULT_ELEMENT_CAP, ConjClass, Group, build_named_group
 from .killing import MATRIX_CAP, analyze, casimir, killing_matrix
 from .perms import Perm
 
-_LABEL_RE = re.compile(r"^(\d+)([A-Za-z])$")
+_LABEL_RE = re.compile(r"^(\d+)([A-Za-z]+)$")
 _CYCLE_NAME_RE = re.compile(r"^(\d+(?:-\d+)*)-cycles$")
 _TYPE_RE = re.compile(r"^\d+(?:,\d+)+$")
 

@@ -137,6 +137,29 @@ def _gf_block_width(p: int, cap: int = 256) -> int:
     return min(cap, (1 << 53) // (p * p))
 
 
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p as int64 in [0, p), exact for p < 2**31.
+
+    Both factors are reduced mod p and split into 16-bit limbs; each limb
+    product is a float64 matmul whose sums stay below 2**53, so it is exact,
+    for inner dimensions up to 2**21.  A is taken 256 rows at a time, so the
+    limbs of a large A are never all held at once.
+    """
+    if A.shape[1] > 1 << 21:
+        raise ValueError(f"inner dimension {A.shape[1]} exceeds 2**21")
+    B = np.mod(B, p).astype(np.int64, copy=False)
+    b_lo, b_hi = (B & 0xFFFF).astype(np.float64), (B >> 16).astype(np.float64)
+    out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
+    for r0 in range(0, A.shape[0], 256):
+        a = np.mod(A[r0 : r0 + 256], p).astype(np.int64, copy=False)
+        a_lo, a_hi = (a & 0xFFFF).astype(np.float64), (a >> 16).astype(np.float64)
+        hi = (a_hi @ b_hi).astype(np.int64) % p
+        mid = ((a_hi @ b_lo).astype(np.int64) + (a_lo @ b_hi).astype(np.int64)) % p
+        lo = (a_lo @ b_lo).astype(np.int64) % p
+        out[r0 : r0 + 256] = ((((hi << 16) % p + mid) << 16) % p + lo) % p
+    return out
+
+
 def _eliminate(A: np.ndarray, p: int) -> tuple[int, list[int], np.ndarray]:
     """Rank, pivot columns and nullspace of A over GF(p); A is not modified.
 
@@ -268,11 +291,7 @@ def _verify_integer_nullspace(A: np.ndarray, vectors: list[list[int]]) -> bool:
         p = random_prime_31(rng)
         if modulus % p == 0:
             continue
-        Ap = A % p
-        Vp = (V % p).astype(np.int64)
-        lo = Vp & 0xFFFF
-        hi = Vp >> 16
-        if np.any(((Ap @ lo) % p + ((Ap @ hi) % p << 16)) % p):
+        if np.any(_matmul_mod(A, V, p)):
             return False
         modulus *= p
     return True

@@ -1,10 +1,12 @@
 """Permutation groups, conjugacy classes, centralizers, named constructors.
 
 Groups are fully enumerated: the survey operates at desk scale, default cap
-10^5 elements.  Elements and class members are also held as sorted arrays of
-image rows.  `Group.locator` finds elements, and products of elements, among
-them by the images of a base (Sims 1970) through one integer table per base
-point, and `Group.class_map` gives the class of every element.
+10^5 elements.  A group is stored as one array: its element image rows, in
+lexicographic order, built by a breadth-first closure on whole arrays of
+rows.  `Group.locator` finds elements, and products of elements, among them
+by the images of a base (Sims 1970) through one integer table per base
+point; every element lookup goes through it.  `Group.class_map` gives the
+class of every element.
 """
 from __future__ import annotations
 
@@ -26,10 +28,13 @@ _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def _class_letter(i: int) -> str:
-    # A..Z, then AA, AB, ... (anything past Z is already exotic at desk scale)
-    if i < 26:
-        return _LETTERS[i]
-    return _LETTERS[i // 26 - 1] + _LETTERS[i % 26]
+    """Bijective base 26: A..Z, AA..ZZ, AAA, ..."""
+    letters = ""
+    while i >= 0:
+        i, r = divmod(i, 26)
+        letters = _LETTERS[r] + letters
+        i -= 1
+    return letters
 
 
 def _row_dtype(degree: int) -> np.dtype:
@@ -108,55 +113,63 @@ class BaseLocator:
         return state
 
 
-def _closure(gen_images, degree: int, cap: int, stop_at: int | None = None):
-    """BFS closure of generator image-tuples; returns a set of image tuples."""
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gen_images:
-                y = tuple(g[j] for j in x)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"group closure exceeds cap {cap}")
-                    seen.add(y)
-                    nxt.append(y)
-                    if stop_at is not None and len(seen) >= stop_at:
-                        return seen
-        frontier = nxt
-    return seen
+def _closure(generators: np.ndarray, degree: int, cap: int) -> np.ndarray:
+    """Rows of the group generated by the image rows ``generators``, sorted
+    lexicographically; CapExceeded as soon as the group has more than ``cap``.
+
+    Each row is held as one opaque bytes key.  Breadth-first: each step maps
+    the frontier through every generator and inserts the keys not yet among
+    the sorted keys seen; they are the next frontier.
+    """
+    generators = np.asarray(generators, dtype=_row_dtype(degree)).reshape(-1, degree)
+    key = np.dtype((np.void, degree * generators.itemsize))
+    seen = frontier = np.arange(degree, dtype=generators.dtype).view(key)
+    while len(frontier):
+        rows = frontier.view(generators.dtype).reshape(-1, degree)
+        keys = np.unique(np.ascontiguousarray(generators[:, rows]).view(key))
+        at = np.searchsorted(seen, keys)
+        new = seen[np.minimum(at, len(seen) - 1)] != keys
+        if len(seen) + new.sum() > cap:
+            raise CapExceeded(f"group closure exceeds cap {cap}")
+        seen = np.insert(seen, at[new], keys[new])
+        frontier = keys[new]
+    rows = seen.view(generators.dtype).reshape(-1, degree)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 class Group:
-    def __init__(self, degree: int, generators: list[Perm], elements: tuple[Perm, ...], name: str = ""):
+    """A permutation group held as ``arr``, the (order x degree) array of its
+    element image rows in lexicographic order; the identity is row 0."""
+
+    def __init__(self, degree: int, generators: list[Perm], arr: np.ndarray, name: str = ""):
         self.degree = degree
         self.generators = list(generators)
-        self.elements = elements
-        self.order = len(elements)
+        self.arr = arr
+        self.order = len(arr)
         self.name = name or f"group of order {self.order}"
         self.identity = Perm.identity(degree)
-        self._index = {p.images: i for i, p in enumerate(elements)}
-        self._arr = None
         self._classes = None
         self._class_map = None
 
+    @cached_property
+    def elements(self) -> tuple[Perm, ...]:
+        """The elements as Perms, aligned with the rows of .arr."""
+        return tuple(map(Perm, self.arr.tolist()))
+
     def __contains__(self, p: Perm) -> bool:
-        return p.images in self._index
+        try:
+            return self.index(p) >= 0
+        except ElementNotInGroup:
+            return False
 
     def index(self, p: Perm) -> int:
-        try:
-            return self._index[p.images]
-        except KeyError:
-            raise ElementNotInGroup(f"{p} not in {self.name}") from None
-
-    @property
-    def arr(self) -> np.ndarray:
-        """(order x degree) array of element images, rows aligned with .elements."""
-        if self._arr is None:
-            self._arr = np.array([p.images for p in self.elements], dtype=_row_dtype(self.degree))
-        return self._arr
+        """Row of p in .arr; ElementNotInGroup if p is not an element."""
+        if p.degree == self.degree:
+            try:
+                return int(self.locator.locate(np.array([p.images], dtype=self.arr.dtype))[0])
+            except ElementNotInGroup:
+                pass
+        raise ElementNotInGroup(f"{p} not in {self.name}")
 
     @cached_property
     def locator(self) -> BaseLocator:
@@ -170,7 +183,7 @@ class Group:
 
     @property
     def class_map(self) -> np.ndarray:
-        """Index into classes() of the class of each element, aligned with .elements."""
+        """Index into classes() of the class of each element, aligned with .arr."""
         self.classes()
         return self._class_map
 
@@ -184,7 +197,7 @@ class Group:
         mask = np.ones(self.order, dtype=bool)
         for g in gen_arrs:
             mask &= (arr[:, g] == g[arr]).all(axis=1)
-        return [self.elements[i] for i in np.nonzero(mask)[0]]
+        return [Perm(row) for row in arr[mask].tolist()]
 
     def exponent(self) -> int:
         return lcm(*(c.element_order for c in self.classes()))
@@ -256,9 +269,8 @@ def generate_group(generators: list[Perm], name: str = "", degree: int | None = 
         degree = generators[0].degree
     elif degree is None:
         raise DegreeMismatch("empty generating set needs an explicit degree")
-    images = _closure([g.images for g in generators], degree, cap)
-    elements = tuple(Perm(im) for im in sorted(images))
-    return Group(degree, generators, elements, name=name)
+    arr = _closure([g.images for g in generators], degree, cap)
+    return Group(degree, generators, arr, name=name)
 
 
 def conjugacy_classes(G: Group) -> list[ConjClass]:
@@ -286,7 +298,7 @@ def conjugacy_classes(G: Group) -> list[ConjClass]:
             layers.append(frontier[~seen[frontier]])
             seen[layers[-1]] = True
         idx = np.sort(np.concatenate(layers))
-        cl = ConjClass(tuple(G.elements[i] for i in idx), group_order=G.order)
+        cl = ConjClass(tuple(map(Perm, arr[idx].tolist())), group_order=G.order)
         cl._arr = arr[idx]
         raw.append((cl.element_order, cl.size, seed, idx, cl))
     raw.sort(key=lambda t: t[:3])
@@ -302,8 +314,7 @@ def conjugacy_classes(G: Group) -> list[ConjClass]:
 
 def centralizer_count(G: Group, g: Perm, within: ConjClass | None = None) -> int:
     """|Z(g)| in G, or |Z(g) ∩ within| when a class is given."""
-    if g not in G:
-        raise ElementNotInGroup(f"{g} not in {G.name}")
+    G.index(g)  # ElementNotInGroup unless g is in G
     if within is not None:
         return within.commuting_count(g)
     arr = G.arr
@@ -312,18 +323,20 @@ def centralizer_count(G: Group, g: Perm, within: ConjClass | None = None) -> int
 
 
 def class_generates(G: Group, C: ConjClass) -> bool:
-    """Does the subgroup generated by the class equal G?"""
+    """Does the subgroup generated by the class equal G?  Each generator taken
+    is the first member outside the subgroup generated so far."""
     if C.is_trivial():
         raise ValueError("trivial class never generates a nontrivial group")
-    gens: list[tuple] = []
-    current: set = {tuple(range(G.degree))}
-    for c in C.members:
-        if c.images not in current:
-            gens.append(c.images)
-            current = _closure(gens, G.degree, cap=G.order + 1, stop_at=G.order)
-            if len(current) >= G.order:
-                return True
-    return len(current) == G.order
+    members = G.locator.locate(C.arr)
+    in_sub = np.zeros(G.order, dtype=bool)
+    gens = []
+    while not in_sub[members].all():
+        gens.append(C.arr[np.argmin(in_sub[members])])
+        sub = _closure(gens, G.degree, cap=G.order)
+        if len(sub) == G.order:
+            return True
+        in_sub[G.locator.locate(sub)] = True
+    return False
 
 
 def is_simple_via_classes(G: Group) -> bool:

@@ -3,6 +3,7 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from killform.characters import (
     CharTable,
@@ -18,6 +19,7 @@ from killform.characters import (
     roth_check,
     validate_orthogonality,
     _find_prime,
+    _poly_divmod,
 )
 from killform.errors import (
     CapExceeded,
@@ -382,3 +384,27 @@ def test_json_import_validates_orthogonality():
 def test_table_requires_provenance():
     with pytest.raises(ValueError):
         CharTable("X", ["1A"], [1], [1], [[1 + 0j]], provenance="")
+
+
+def _poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([7, 101, 2647, 40009]), st.data())
+def test_poly_divmod_is_division_with_remainder(p, data):
+    coeffs = st.integers(0, p - 1)
+    a = data.draw(st.lists(coeffs, min_size=1, max_size=12))
+    b = data.draw(st.lists(coeffs, min_size=0, max_size=6)) + [data.draw(st.integers(1, p - 1))]
+    q, r = _poly_divmod(a, b, p)
+    assert len(r) < len(b) or r == [0]
+    qb = _poly_mul(q, b, p)
+    lhs = qb + [0] * (len(a) - len(qb))
+    rhs = list(a) + [0] * (len(qb) - len(a))
+    for i, ri in enumerate(r):
+        lhs[i] = (lhs[i] + ri) % p
+    assert lhs == [x % p for x in rhs]

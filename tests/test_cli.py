@@ -330,3 +330,15 @@ def test_group_file_spec_roundtrip(tmp_path):
     report = cmd_survey(f"file:{src}")
     assert report.group_order == 4
     assert len(report.rows) == 3
+
+
+def test_multi_letter_label_selects_a_class(tmp_path, capsys):
+    # (Z2)^10 has 1023 classes of order 2, labelled 2A .. 2Z, 2AA .. 2ZZ, 2AAA ..
+    path = tmp_path / "z2_10.grp"
+    path.write_text("name Z2^10\ndegree 20\n"
+                    + "".join(f"({2 * i + 1},{2 * i + 2})\n" for i in range(10)), encoding="utf-8")
+    for label in ("2AA", "2ZZ", "2AAA", "2ami"):
+        assert main(["casimir", f"file:{path}", label]) == 0, capsys.readouterr()
+        assert "casimir: 1*e" in capsys.readouterr().out
+    assert main(["casimir", f"file:{path}", "2AMJ"]) == 2
+    assert "has no class labelled 2AMJ" in capsys.readouterr().err

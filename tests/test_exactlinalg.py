@@ -14,6 +14,7 @@ from killform.exactlinalg import (
     _exact_inertia_ldlt,
     _gf_block_width,
     _is_prime,
+    _matmul_mod,
     _verify_integer_nullspace,
     connected_components,
     exact_inverse,
@@ -431,6 +432,20 @@ def test_connected_components_matches_scalar_search(n, seed):
     A[isolated, isolated] = rng.integers(0, 2, size=int(isolated.sum()))  # some keep a loop
     M = IntSymMatrix(A)
     assert connected_components(M) == connected_components_oracle(M)
+
+
+@pytest.mark.parametrize("rows, inner", [(5, 1), (5, 7), (5, 256), (300, 1100), (5, 1500)])
+def test_matmul_mod_is_exact_below_2_31(rows, inner):
+    p = 2**31 - 1
+    rng = np.random.default_rng(inner)
+    A = rng.integers(-p, p, size=(rows, inner))
+    B = rng.integers(0, p, size=(inner, 3))
+    B[:, 0] = p - 1  # the largest residues, against A's largest too
+    A[0] = p - 1
+    want = (A.astype(object) @ B.astype(object)) % p
+    got = _matmul_mod(A, B, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
 
 
 def test_dump_load_roundtrip():

@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import WIDE_S5_GRP
 
+from killform.cli import resolve_class
 from killform.errors import CapExceeded, DegreeMismatch, ElementNotInGroup, UnknownSpec
 from killform.groups import (
     BaseLocator,
@@ -49,6 +51,14 @@ def test_generate_degree_mismatch():
 def test_generate_cap():
     with pytest.raises(CapExceeded):
         symmetric_group(5, cap=50)
+
+
+@pytest.mark.parametrize("spec", ["S5", "PSL(2,7)", "file:data/m11.grp"])
+def test_cap_boundary_is_the_order(spec):
+    order = build_named_group(spec).order
+    assert build_named_group(spec, cap=order).order == order
+    with pytest.raises(CapExceeded, match=f"cap {order - 1}"):
+        build_named_group(spec, cap=order - 1)
 
 
 @pytest.mark.parametrize("n,order", [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120), (6, 720)])
@@ -145,6 +155,20 @@ def test_class_map_matches_class_members():
         g.class_index_of(Perm.parse("(1,2)", 8))
 
 
+def test_absent_and_wrong_degree_perms(wide_s5_file):
+    a5 = alternating_group(5)
+    wide = build_named_group(f"file:{wide_s5_file}")
+    absent = [(a5, Perm.parse("(1,2)", 5)), (a5, Perm.identity(6)), (a5, Perm.identity(4)),
+              (a5, Perm.parse("(1,300)", 300)), (wide, Perm.parse("(1,2)", 300)),
+              (wide, Perm.parse("(2,256)", 256)), (wide, Perm.identity(5))]
+    for g, p in absent:
+        assert p not in g
+        with pytest.raises(ElementNotInGroup, match=re.escape(f"{p} not in {g.name}")):
+            g.index(p)
+    assert Perm.parse("(2,256)", 300) in wide
+    assert wide.elements[wide.index(Perm.parse("(2,256)", 300))] == Perm.parse("(2,256)", 300)
+
+
 @pytest.mark.parametrize("dtype", [np.uint16, ">u2"])
 def test_locate_reads_uint16_rows_and_rejects_absent(wide_s5_file, dtype):
     g = build_named_group(f"file:{wide_s5_file}")
@@ -171,6 +195,36 @@ def test_wide_degree_group_uses_tuple_order(wide_s5_file):
         assert all(g.class_index_of(h) == ci for h in c.members)
 
 
+def _tuple_closure(gen_images, degree: int, stop_at: int | None = None) -> set:
+    """Reference closure: breadth-first on Python image tuples."""
+    ident = tuple(range(degree))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gen_images:
+                y = tuple(g[j] for j in x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                    if stop_at is not None and len(seen) >= stop_at:
+                        return seen
+        frontier = nxt
+    return seen
+
+
+def _class_generates_by_tuples(g, c) -> bool:
+    """Reference: add each member outside the tuple closure of those before."""
+    gens, current = [], {tuple(range(g.degree))}
+    for m in c.members:
+        if m.images not in current:
+            gens.append(m.images)
+            current = _tuple_closure(gens, g.degree, stop_at=g.order)
+            if len(current) >= g.order:
+                return True
+    return False
+
+
 @lru_cache(maxsize=None)
 def _group(spec: str):
     if spec == "S5@300":
@@ -180,6 +234,49 @@ def _group(spec: str):
 
 
 LOCATOR_GROUPS = ["S4", "A7", "file:data/m11.grp", "file:data/psu33.grp", "PSL(2,17)", "S5@300"]
+
+
+CLOSURE_GROUPS = ["S1", "S4", "A7", "file:data/m11.grp", "file:data/psu33.grp", "PSL(2,17)",
+                  "PSL(3,3)", "S5@300"]
+
+
+@pytest.mark.parametrize("spec", CLOSURE_GROUPS)
+def test_closure_matches_tuple_closure(spec):
+    g = _group(spec)
+    want = sorted(_tuple_closure([s.images for s in g.generators], g.degree))
+    assert g.arr.dtype.itemsize == (2 if g.degree > 255 else 1)
+    assert g.arr.tolist() == [list(row) for row in want]
+    assert g.elements == tuple(map(Perm, want))
+
+
+@pytest.mark.parametrize("spec", CLOSURE_GROUPS[1:])
+def test_class_generates_matches_tuple_closure(spec):
+    g = _group(spec)
+    got = [class_generates(g, c) for c in g.classes() if not c.is_trivial()]
+    assert got == [_class_generates_by_tuples(g, c)
+                   for c in g.classes() if not c.is_trivial()]
+    assert is_simple_via_classes(g) == all(got)
+    assert is_simple_via_classes(g) == (spec not in ("S4", "S5@300"))
+
+
+def test_class_generates_s4_double_transpositions():
+    # the 2-2 class generates the Klein four-group, not S4
+    s4 = symmetric_group(4)
+    double = next(c for c in s4.classes() if c.label == "2A")
+    assert double.size == 3 and not class_generates(s4, double)
+
+
+def test_class_labels_go_past_z():
+    gens = [Perm.parse(f"({2 * i + 1},{2 * i + 2})", 20) for i in range(10)]
+    g = generate_group(gens, name="Z2^10")
+    labels = [c.label for c in g.classes()]
+    assert len(labels) == len(set(labels)) == 1024
+    twos = labels[1:]
+    assert twos[:3] == ["2A", "2B", "2C"]
+    assert twos[25:28] == ["2Z", "2AA", "2AB"]
+    assert twos[701:703] == ["2ZZ", "2AAA"]
+    assert resolve_class(g, "2AAA") is g.classes()[703]
+    assert resolve_class(g, "2aaa") is g.classes()[703]
 
 
 @pytest.mark.parametrize("spec", LOCATOR_GROUPS)
