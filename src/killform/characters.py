@@ -53,7 +53,7 @@ class ClassFunction:
 
 class CharTable:
     def __init__(self, name: str, class_labels, class_sizes, degrees, chars,
-                 provenance: str, class_reps=None):
+                 provenance: str):
         if not provenance:
             raise ValueError("provenance is mandatory on character tables")
         self.name = name
@@ -62,7 +62,6 @@ class CharTable:
         self.degrees = [int(d) for d in degrees]
         self.chars = [[complex(v) for v in row] for row in chars]
         self.provenance = provenance
-        self.class_reps = class_reps
         self.group_order = sum(self.class_sizes)
         k = len(self.chars)
         if any(len(row) != len(self.class_labels) for row in self.chars):
@@ -96,10 +95,6 @@ class CharTable:
         return labels
 
     def class_column(self, C: ConjClass) -> int:
-        if self.class_reps is not None:
-            for j, ref in enumerate(self.class_reps):
-                if ref is C:
-                    return j
         for j, (lab, size) in enumerate(zip(self.class_labels, self.class_sizes)):
             if lab == C.label and size == C.size:
                 return j
@@ -348,12 +343,11 @@ def _class_mult_matrices(G: Group) -> list[np.ndarray]:
     """M_i[j][k] = #{x in C_i : x^-1 z_k in C_j} (class-sum structure constants)."""
     classes = G.classes()
     k = len(classes)
-    reps = np.array([Ck.arr[0] for Ck in classes])
     Ms = []
     for Ci in classes:
         Ainv = np.argsort(Ci.arr, axis=1).astype(Ci.arr.dtype)
         # x in C_i with x^-1 z_kk in class j is counted at j*k + kk
-        pairs = G.class_map[G.locator.product_indices(Ainv, reps)] * k + np.arange(k)
+        pairs = G.class_map[G.locator.product_indices(Ainv, G.class_reps)] * k + np.arange(k)
         Ms.append(np.bincount(pairs.ravel(), minlength=k * k).reshape(k, k))
     return Ms
 
@@ -367,7 +361,7 @@ def character_table(G: Group, cap: int = CLASS_CAP) -> CharTable:
     sizes = [c.size for c in classes]
     if k == 1:
         return CharTable(G.name or "trivial", labels, sizes, [1], [[1.0 + 0j]],
-                         provenance=f"dixon({G.name or 'trivial'})", class_reps=classes)
+                         provenance=f"dixon({G.name or 'trivial'})")
     n = G.exponent()
     p = _find_prime(n, G.order)
     Ms = _class_mult_matrices(G)
@@ -441,7 +435,7 @@ def character_table(G: Group, cap: int = CLASS_CAP) -> CharTable:
                   key=lambda row: (row[0], fingerprint(row[1])))
     ordered = trivial + rest
     T = CharTable(G.name or "G", labels, sizes, [d for d, _ in ordered],
-                  [v for _, v in ordered], provenance=f"dixon(p={p})", class_reps=classes)
+                  [v for _, v in ordered], provenance=f"dixon(p={p})")
     validate_orthogonality(T)
     return T
 
@@ -453,7 +447,7 @@ def conjugation_character(G: Group, C: ConjClass | None = None) -> ClassFunction
     classes = G.classes()
     if C is None:
         return ClassFunction(tuple(G.order // cl.size - 1 for cl in classes))
-    return ClassFunction(tuple(C.commuting_count(cl.representative) for cl in classes))
+    return ClassFunction(tuple(C.commuting_count(G.class_reps).tolist()))
 
 
 def multiplicities(f, T: CharTable) -> list[int]:
@@ -518,8 +512,7 @@ class Decomposition:
         return " + ".join(parts)
 
 
-def eigenspace_decomposition(K: KillingForm, T: CharTable,
-                             tol: float = PROJECTOR_TOL) -> Decomposition:
+def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
     """Split each Killing eigenspace into irreducibles of the conjugation action.
 
     mult(V_i, E_lam) = (1/|G|) sum_j |C_j| conj(chi_i(g_j)) tr(rho(g_j) E_lam),
@@ -537,11 +530,9 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable,
     in_C = np.full(G.order, -1, dtype=np.intp)
     in_C[G.locator.locate(B)] = np.arange(C.size)
     perms = []
-    for cl in classes:
-        g = cl.representative
-        g_arr = np.asarray(g.images, dtype=np.intp)
-        ginv_arr = np.asarray(g.inverse().images, dtype=B.dtype)
-        perm = in_C[G.locator.locate(ginv_arr[B[:, g_arr]])]  # a -> g^-1 a g
+    for g in G.class_reps:
+        ginv = np.argsort(g).astype(B.dtype)
+        perm = in_C[G.locator.locate(ginv[B[:, g]])]  # a -> g^-1 a g
         if (perm < 0).any():
             raise ElementNotInGroup(f"{C!r} is not closed under conjugation in {G.name}")
         perms.append(perm)
@@ -556,10 +547,10 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable,
         mults = []
         for i in range(k):
             m = round(raw[i].real)
-            if abs(raw[i] - m) > tol:
+            if abs(raw[i] - m) > PROJECTOR_TOL:
                 raise ProjectorMismatch(
                     f"mult of {T.irrep_labels[i]} in E_{e.value:.4g} is {raw[i]:.6f}, "
-                    f"not an integer within {tol}")
+                    f"not an integer within {PROJECTOR_TOL}")
             mults.append(m)
         if sum(m * d for m, d in zip(mults, T.degrees)) != e.multiplicity:
             raise ProjectorMismatch(

@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .characters import CharTable, character_table, eigenspace_decomposition, integrality_audit
-from .errors import KillformError, SingularMatrix
+from .errors import ElementNotInGroup, KillformError, SingularMatrix
 from .groups import DEFAULT_ELEMENT_CAP, ConjClass, Group, build_named_group
 from .killing import MATRIX_CAP, analyze, casimir, killing_matrix
 from .perms import Perm
@@ -47,6 +47,16 @@ def nontrivial_classes(G: Group) -> list[ConjClass]:
     return [c for c in G.classes() if not c.is_trivial()]
 
 
+def _class_containing(G: Group, rep: Perm, what: str) -> ConjClass:
+    try:
+        C = G.classes()[G.class_index_of(rep)]
+    except ElementNotInGroup:
+        C = None
+    if C is None or C.is_trivial():
+        raise ValueError(f"{what} is not in a nontrivial class of {G.name}")
+    return C
+
+
 def resolve_class(G: Group, selector: str) -> ConjClass:
     """An ATLAS-style label (2A), a representative ((1,2)(3,4) or digits 1234),
     a cycle type (2,1,1), or a name like 2-cycles / 2-2-cycles."""
@@ -62,11 +72,7 @@ def resolve_class(G: Group, selector: str) -> ConjClass:
 
     cycle_type = None
     if text.startswith("("):
-        rep = Perm.parse(text, G.degree)
-        for c in classes:
-            if rep in c:
-                return c
-        raise ValueError(f"{text} is not in a nontrivial class of {G.name}")
+        return _class_containing(G, Perm.parse(text, G.degree), text)
     elif _CYCLE_NAME_RE.match(text):
         cycle_type = tuple(int(p) for p in _CYCLE_NAME_RE.match(text).group(1).split("-"))
     elif _TYPE_RE.match(text):
@@ -77,10 +83,7 @@ def resolve_class(G: Group, selector: str) -> ConjClass:
             cycle_type = (int(text),)
         else:
             rep = Perm.parse("(" + ",".join(text) + ")", G.degree)
-            for c in classes:
-                if rep in c:
-                    return c
-            raise ValueError(f"cycle ({text}) is not in a nontrivial class of {G.name}")
+            return _class_containing(G, rep, f"cycle ({text})")
     else:
         raise ValueError(f"unrecognized class selector {selector!r}")
 

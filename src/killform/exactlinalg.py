@@ -473,10 +473,8 @@ def signature(M: IntSymMatrix, seed: int = 0) -> Signature:
     return Signature(pos, neg, zero)
 
 
-def spectrum(M: IntSymMatrix, tol: float = SPECTRUM_TOL) -> list[SpectrumEntry]:
-    """Floating eigendecomposition with eigenvalues merged at relative tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def spectrum(M: IntSymMatrix) -> list[SpectrumEntry]:
+    """Floating eigendecomposition with eigenvalues merged at relative SPECTRUM_TOL."""
     if M.dim == 0:
         return []
     evals, vecs = np.linalg.eigh(M.data.astype(np.float64))
@@ -487,7 +485,7 @@ def spectrum(M: IntSymMatrix, tol: float = SPECTRUM_TOL) -> list[SpectrumEntry]:
     entries = []
     start = 0
     for i in range(1, M.dim + 1):
-        if i == M.dim or evals[i - 1] - evals[i] > tol * scale:
+        if i == M.dim or evals[i - 1] - evals[i] > SPECTRUM_TOL * scale:
             vals = evals[start:i]
             mean = float(np.mean(vals))
             entries.append(

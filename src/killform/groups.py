@@ -3,10 +3,11 @@
 Groups are fully enumerated: the survey operates at desk scale, default cap
 10^5 elements.  A group is stored as one array: its element image rows, in
 lexicographic order, built by a breadth-first closure on whole arrays of
-rows.  `Group.locator` finds elements, and products of elements, among them
-by the images of a base (Sims 1970) through one integer table per base
-point; every element lookup goes through it.  `Group.class_map` gives the
-class of every element.
+rows; a conjugacy class is stored the same way, as its member rows.
+`Group.locator` finds elements, and products of elements, among them by the
+images of a base (Sims 1970) through one integer table per base point; every
+element lookup goes through it.  `Group.class_map` gives the class of every
+element.
 """
 from __future__ import annotations
 
@@ -187,6 +188,11 @@ class Group:
         self.classes()
         return self._class_map
 
+    @cached_property
+    def class_reps(self) -> np.ndarray:
+        """The representative row of each class, aligned with classes()."""
+        return np.array([c.arr[0] for c in self.classes()])
+
     def class_index_of(self, p: Perm) -> int:
         """Index into classes() of the class containing p."""
         return int(self.class_map[self.index(p)])
@@ -207,54 +213,55 @@ class Group:
 
 
 class ConjClass:
-    """A conjugacy class; members are sorted lexicographically and the
-    representative is members[0]."""
+    """A conjugacy class held as ``arr``, the (size x degree) array of its
+    member image rows in lexicographic order; the representative is row 0."""
 
-    def __init__(self, members: tuple[Perm, ...], label: str = "",
-                 group_order: int | None = None):
-        self.members = members
-        self.representative = members[0]
+    def __init__(self, arr: np.ndarray, label: str = ""):
+        self.arr = arr
         self.label = label
-        self.group_order = group_order
-        self.degree = members[0].degree
-        self.element_order = members[0].order()
-        self._arr = None
+        self.size, self.degree = arr.shape
+        self.representative = Perm(self.arr[0].tolist())
+        self.element_order = self.representative.order()
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    @cached_property
+    def members(self) -> tuple[Perm, ...]:
+        """The members as Perms, aligned with the rows of .arr."""
+        return tuple(map(Perm, self.arr.tolist()))
 
     def is_trivial(self) -> bool:
         return self.size == 1 and self.representative.is_identity()
 
-    @property
-    def arr(self) -> np.ndarray:
-        if self._arr is None:
-            self._arr = np.array([p.images for p in self.members], dtype=_row_dtype(self.degree))
-        return self._arr
-
-    @cached_property
-    def _member_index(self) -> dict:
-        return {m.images: i for i, m in enumerate(self.members)}
-
-    def index(self, p: Perm) -> int:
-        return self._member_index[p.images]
-
     def __contains__(self, p: Perm) -> bool:
-        return p.images in self._member_index
+        return p.degree == self.degree and bool((self.arr == p.images).all(axis=1).any())
 
     @property
     def is_real(self) -> bool:
         return self.representative.inverse() in self
 
-    def commuting_count(self, x: Perm) -> int:
-        """|Z(x) ∩ C|, vectorized over the member array."""
-        arr = self.arr
-        xi = np.asarray(x.images, dtype=arr.dtype)
-        return int((arr[:, xi] == xi[arr]).all(axis=1).sum())
+    def commuting_count(self, X: np.ndarray) -> np.ndarray:
+        """|Z(x) ∩ C| for each row x of X."""
+        return _commuting_counts(self.arr, X)
 
     def __repr__(self) -> str:
         return f"ConjClass({self.label or str(self.representative)}, size={self.size})"
+
+
+# bounds the (members, rows, degree) temporaries of _commuting_counts
+_COMMUTING_ENTRIES = 1 << 20
+
+
+def _commuting_counts(members: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """For each row x of X, the number of rows c of members with cx = xc,
+    taking rows of X in blocks of about _COMMUTING_ENTRIES compared entries."""
+    step = max(1, _COMMUTING_ENTRIES // members.size)
+    counts = np.empty(len(X), dtype=np.int64)
+    for i in range(0, len(X), step):
+        B = X[i:i + step]
+        # cx[j] = c[x[j]] and xc[j] = x[c[j]], laid out as (member, row, point)
+        cx = members[:, B]
+        xc = B[:, members].transpose(1, 0, 2)
+        counts[i:i + step] = (cx == xc).all(axis=2).sum(axis=0)
+    return counts
 
 
 def generate_group(generators: list[Perm], name: str = "", degree: int | None = None,
@@ -298,8 +305,7 @@ def conjugacy_classes(G: Group) -> list[ConjClass]:
             layers.append(frontier[~seen[frontier]])
             seen[layers[-1]] = True
         idx = np.sort(np.concatenate(layers))
-        cl = ConjClass(tuple(map(Perm, arr[idx].tolist())), group_order=G.order)
-        cl._arr = arr[idx]
+        cl = ConjClass(arr[idx])
         raw.append((cl.element_order, cl.size, seed, idx, cl))
     raw.sort(key=lambda t: t[:3])
     G._class_map = np.empty(G.order, dtype=np.intp)
@@ -312,14 +318,9 @@ def conjugacy_classes(G: Group) -> list[ConjClass]:
     return [t[-1] for t in raw]
 
 
-def centralizer_count(G: Group, g: Perm, within: ConjClass | None = None) -> int:
-    """|Z(g)| in G, or |Z(g) ∩ within| when a class is given."""
-    G.index(g)  # ElementNotInGroup unless g is in G
-    if within is not None:
-        return within.commuting_count(g)
-    arr = G.arr
-    gi = np.asarray(g.images, dtype=arr.dtype)
-    return int((arr[:, gi] == gi[arr]).all(axis=1).sum())
+def centralizer_count(G: Group, g: Perm) -> int:
+    """|Z(g)| in G."""
+    return int(_commuting_counts(G.arr, G.arr[[G.index(g)]])[0])
 
 
 def class_generates(G: Group, C: ConjClass) -> bool:
@@ -409,9 +410,8 @@ def symmetric_class(n: int, mu) -> ConjClass:
     2-cycles classes of large symmetric groups are analysed.
     """
     lens = _full_cycle_type(n, mu)
-    members = tuple(Perm(im) for im in sorted(_perms_of_cycle_type(n, lens)))
-    label = ",".join(str(l) for l in lens)
-    return ConjClass(members, label=label, group_order=factorial(n))
+    arr = np.array(sorted(_perms_of_cycle_type(n, lens)), dtype=_row_dtype(n))
+    return ConjClass(arr, label=",".join(str(l) for l in lens))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -85,29 +86,39 @@ class KillingAnalysis:
 
 
 class KillingForm:
-    def __init__(self, matrix: IntSymMatrix, basis: tuple[Perm, ...],
+    """A form over the basis rows ``basis_arr``, aligned with those of ``matrix``."""
+
+    def __init__(self, matrix: IntSymMatrix, basis_arr: np.ndarray,
                  group: Group | None = None, conj_class: ConjClass | None = None,
                  universal: bool = False, includes_identity: bool = False):
         self.matrix = matrix
-        self.basis = basis
+        self.basis_arr = basis_arr
         self.group = group
         self.conj_class = conj_class
         self.universal = universal
         self.includes_identity = includes_identity
         self.analysis: KillingAnalysis | None = None
         self._spectrum = None
-        self._index = {p.images: i for i, p in enumerate(basis)}
 
     @property
     def is_class_calculus(self) -> bool:
         return self.conj_class is not None
 
+    @cached_property
+    def basis(self) -> tuple[Perm, ...]:
+        """The basis as Perms, aligned with the rows of .basis_arr."""
+        return tuple(map(Perm, self.basis_arr.tolist()))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {p.images: i for i, p in enumerate(self.basis)}
+
     def basis_index(self, p: Perm) -> int:
         return self._index[p.images]
 
-    def spectrum(self, tol: float = 1e-8):
+    def spectrum(self):
         if self._spectrum is None:
-            self._spectrum = spectrum(self.matrix, tol=tol)
+            self._spectrum = spectrum(self.matrix)
         return self._spectrum
 
     def __repr__(self) -> str:
@@ -168,7 +179,7 @@ def _cycle_type_function(C: ConjClass):
         for t, i in zip(types, first):
             key = t.tobytes()
             if key not in by_type:
-                by_type[key] = C.commuting_count(Perm(X[i].tolist()))
+                by_type[key] = int(C.commuting_count(X[i:i + 1])[0])
             values.append(by_type[key])
         return np.array(values, dtype=np.int64)[inverse.ravel()]
 
@@ -178,7 +189,7 @@ def _cycle_type_function(C: ConjClass):
 def killing_matrix(G: Group | None, C: ConjClass, cap: int = MATRIX_CAP) -> KillingForm:
     """K[a][b] = |Z(ab) ∩ C| = phi_C(ab) over the class basis.
 
-    phi_C takes one commuting count per class of G.  With G None, C must be a
+    phi_C is counted once per class of G, in one call.  With G None, C must be a
     full class of S_n (as symmetric_class builds it) and phi_C is read by the
     cycle type of the product; otherwise ValueError.
     """
@@ -193,19 +204,13 @@ def killing_matrix(G: Group | None, C: ConjClass, cap: int = MATRIX_CAP) -> Kill
         in_class = G.class_map[G.locator.locate(C.arr)]
         if (in_class != in_class[0]).any() or C.size != G.classes()[in_class[0]].size:
             raise ValueError(f"{C!r} is not a conjugacy class of {G.name}")
-        phi = _class_function(G, [C.commuting_count(cl.representative) for cl in G.classes()],
-                              C.arr)
-    return KillingForm(_form_matrix(C.arr, phi), C.members, group=G, conj_class=C)
+        phi = _class_function(G, C.commuting_count(G.class_reps), C.arr)
+    return KillingForm(_form_matrix(C.arr, phi), C.arr, group=G, conj_class=C)
 
 
 def killing_matrix_bruteforce(C: ConjClass) -> IntSymMatrix:
-    """Direct K[a][b] = |Z(ab) ∩ C| by the double loop (test oracle)."""
-    m = C.size
-    K = np.empty((m, m), dtype=np.int64)
-    for i, a in enumerate(C.members):
-        for j, b in enumerate(C.members):
-            K[i, j] = C.commuting_count(a * b)
-    return IntSymMatrix(K)
+    """Direct K[a][b] = |Z(ab) ∩ C|, counted for every product ab (test oracle)."""
+    return IntSymMatrix(np.array([C.commuting_count(a[C.arr]) for a in C.arr]))
 
 
 def universal_killing(G: Group, cap: int = MATRIX_CAP, include_identity: bool = False) -> KillingForm:
@@ -216,13 +221,12 @@ def universal_killing(G: Group, cap: int = MATRIX_CAP, include_identity: bool = 
     """
     if G.order < 2:
         raise ValueError("universal calculus needs |G| >= 2")
-    off = 0 if include_identity else 1
-    basis = G.elements[off:]
-    m = len(basis)
+    basis_arr = G.arr[0 if include_identity else 1:]
+    m = len(basis_arr)
     if m > cap:
         raise CapExceeded(f"universal basis size {m} exceeds matrix cap {cap}")
-    phi = _class_function(G, [G.order // cl.size - 1 for cl in G.classes()], G.arr[off:])
-    return KillingForm(_form_matrix(G.arr[off:], phi), basis, group=G, universal=True,
+    phi = _class_function(G, [G.order // cl.size - 1 for cl in G.classes()], basis_arr)
+    return KillingForm(_form_matrix(basis_arr, phi), basis_arr, group=G, universal=True,
                        includes_identity=include_identity)
 
 
@@ -237,7 +241,7 @@ def analyze(K: KillingForm, seed: int = 0) -> KillingForm:
                 f"row sums of {K!r} are not constant: {sorted(set(int(s) for s in sums))[:4]}"
             )
         lam = int(sums[0])
-        chi = K.conj_class.commuting_count(K.conj_class.representative)
+        chi = int(K.conj_class.commuting_count(K.conj_class.arr[:1])[0])
         real = K.conj_class.is_real
     comps = connected_components(M)
     sig = signature(M, seed=seed)

@@ -246,10 +246,13 @@ def _sym_class(n: int, mu: tuple) -> ConjClass:
 
 @lru_cache(maxsize=None)
 def _fixed_counts(n: int, mu: tuple) -> tuple:
-    """(nu, |C_nu|, |Z(g_nu) ∩ C_mu|) for every class nu of S_n."""
-    Cmu = _sym_class(n, mu)
-    return tuple((nu, class_size(n, nu), Cmu.commuting_count(_sym_class(n, nu).representative))
-                 for nu in partitions_of(n))
+    """(nu, |C_nu|, |Z(g_nu) ∩ C_mu|) for every class nu of S_n, with g_nu
+    cycling consecutive points; only C_mu is enumerated."""
+    nus = list(partitions_of(n))
+    reps = [Perm.from_cycles([range(e - k, e) for k, e in zip(nu, itertools.accumulate(nu))],
+                             n).images for nu in nus]
+    fixes = _sym_class(n, mu).commuting_count(np.array(reps)).tolist()
+    return tuple((nu, class_size(n, nu), f) for nu, f in zip(nus, fixes))
 
 
 def specht_multiplicity(lam, mu) -> int:

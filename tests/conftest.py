@@ -4,6 +4,7 @@ from functools import lru_cache
 import pytest
 
 from killform.cli import cmd_survey
+from killform.perms import Perm
 
 
 # S5 on the points {2, 256, 257, 259, 300}: degree 300 needs uint16 image rows
@@ -16,6 +17,25 @@ def wide_s5_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("groups") / "s5_300.grp"
     path.write_text(WIDE_S5_GRP, encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def count_perms(monkeypatch):
+    """Callable fn -> the number of Perms constructed while fn() runs."""
+    def count(fn) -> int:
+        n = 0
+        init = Perm.__init__
+
+        def counting(self, images):
+            nonlocal n
+            n += 1
+            init(self, images)
+
+        with monkeypatch.context() as m:
+            m.setattr(Perm, "__init__", counting)
+            fn()
+        return n
+    return count
 
 
 @lru_cache(maxsize=None)

@@ -71,6 +71,15 @@ def test_resolve_class_rejects(s4, a5):
         resolve_class(a5, "4")  # no 4-cycles in A5
 
 
+@pytest.mark.parametrize("selector", ["(1,2)", "12", "(1,6)", "167", "()"])
+def test_resolve_class_rejects_representatives_outside_nontrivial_classes(a5, selector, capsys):
+    # odd permutations, points beyond degree 5, and the identity
+    with pytest.raises(ValueError):
+        resolve_class(a5, selector)
+    assert main(["decompose", "A5", selector]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_resolve_class_identity_is_not_selectable(s4):
     with pytest.raises(ValueError):
         resolve_class(s4, "1,1,1,1")
@@ -332,13 +341,31 @@ def test_group_file_spec_roundtrip(tmp_path):
     assert len(report.rows) == 3
 
 
-def test_multi_letter_label_selects_a_class(tmp_path, capsys):
-    # (Z2)^10 has 1023 classes of order 2, labelled 2A .. 2Z, 2AA .. 2ZZ, 2AAA ..
+@pytest.fixture
+def z2_10_file(tmp_path):
+    """(Z2)^10: 1023 classes of order 2, labelled 2A .. 2Z, 2AA .. 2ZZ, 2AAA .."""
     path = tmp_path / "z2_10.grp"
     path.write_text("name Z2^10\ndegree 20\n"
                     + "".join(f"({2 * i + 1},{2 * i + 2})\n" for i in range(10)), encoding="utf-8")
+    return path
+
+
+def test_multi_letter_label_selects_a_class(z2_10_file, capsys):
     for label in ("2AA", "2ZZ", "2AAA", "2ami"):
-        assert main(["casimir", f"file:{path}", label]) == 0, capsys.readouterr()
+        assert main(["casimir", f"file:{z2_10_file}", label]) == 0, capsys.readouterr()
         assert "casimir: 1*e" in capsys.readouterr().out
-    assert main(["casimir", f"file:{path}", "2AMJ"]) == 2
+    assert main(["casimir", f"file:{z2_10_file}", "2AMJ"]) == 2
     assert "has no class labelled 2AMJ" in capsys.readouterr().err
+
+
+def test_survey_of_z2_10_has_a_row_per_class(z2_10_file, capsys):
+    assert main(["survey", f"file:{z2_10_file}", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len([line for line in lines if line.startswith("2")]) == 1023
+
+
+def test_decompose_builds_few_perms(count_perms, capsys):
+    # |M11| = 7920: the classes, the form and the table need no Perm per element
+    codes = []
+    built = count_perms(lambda: codes.append(main(["decompose", "file:data/m11.grp", "5A"])))
+    assert codes == [0] and built < 7920 / 10

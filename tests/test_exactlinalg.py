@@ -372,7 +372,7 @@ def test_spectrum_sorted_and_trace():
 
 def test_spectrum_merges_close_eigenvalues():
     M = IntSymMatrix(np.diag([1000000, 1000000, 3]))
-    entries = spectrum(M, tol=1e-8)
+    entries = spectrum(M)
     assert [(e.value, e.multiplicity) for e in entries] == [(1000000.0, 2), (3.0, 1)]
 
 

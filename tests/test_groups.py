@@ -8,6 +8,7 @@ import pytest
 
 from conftest import WIDE_S5_GRP
 
+from killform import groups
 from killform.cli import resolve_class
 from killform.errors import CapExceeded, DegreeMismatch, ElementNotInGroup, UnknownSpec
 from killform.groups import (
@@ -373,11 +374,44 @@ def test_conjugacy_classes_match_perm_bfs(spec):
 def test_centralizer_counts_s3():
     s3 = symmetric_group(3)
     two_cycles = next(c for c in s3.classes() if c.element_order == 2)
-    assert centralizer_count(s3, s3.identity, within=two_cycles) == 3
+    assert two_cycles.commuting_count(s3.arr[:1]).tolist() == [3]
     assert centralizer_count(s3, Perm.parse("(1,2,3)", 3)) == 3
     assert centralizer_count(s3, s3.identity) == 6
     with pytest.raises(ElementNotInGroup):
         centralizer_count(s3, Perm.parse("(1,2)", 4))
+
+
+@pytest.mark.parametrize("rows_per_chunk", [None, 1, 4])
+@pytest.mark.parametrize("spec", ["S5", "A7", "PSL(2,17)", "file:data/m11.grp",
+                                  "file:data/psu33.grp", "S5@300"])
+def test_commuting_count_of_a_block_matches_per_representative_counts(spec, rows_per_chunk,
+                                                                      monkeypatch):
+    g = _group(spec)
+    classes = g.classes()
+    reps = [c.representative for c in classes]
+    block = g.class_reps
+    assert block.tolist() == [list(x.images) for x in reps]
+    for C in classes:
+        if rows_per_chunk is not None:
+            monkeypatch.setattr(groups, "_COMMUTING_ENTRIES", rows_per_chunk * C.arr.size)
+        want = [sum(1 for c in C.members if c * x == x * c) for x in reps]
+        assert C.commuting_count(block).tolist() == want, (spec, C.label)
+
+
+def test_class_membership_and_reality():
+    s4 = symmetric_group(4)
+    by_label = {c.label: c for c in s4.classes()}
+    assert Perm.parse("(2,4)", 4) in by_label["2B"]
+    assert Perm.parse("(2,4)", 4) not in by_label["2A"]
+    assert Perm.parse("(2,4)", 5) not in by_label["2B"]
+    assert all(c.is_real for c in s4.classes())
+    a7 = alternating_group(7)
+    assert [c.label for c in a7.classes() if not c.is_real] == ["7A", "7B"]
+
+
+def test_classes_build_one_perm_per_class(count_perms):
+    g = psl2(53)
+    assert count_perms(g.classes) < g.order / 10
 
 
 def test_class_generates_s3():

@@ -207,9 +207,10 @@ def test_class_function_route_rejects_a_set_that_is_not_a_class():
     S4 = symmetric_group(4)
     # two of the three double transpositions: the brute force gives [[2, 2], [2, 2]],
     # which no class function of the product reproduces
-    part = ConjClass((Perm.parse("(1,3)", 4), Perm.parse("(2,4)", 4)))
+    part = ConjClass(np.array([Perm.parse("(1,3)", 4).images, Perm.parse("(2,4)", 4).images]))
     assert killing_matrix_bruteforce(part).data.tolist() == [[2, 2], [2, 2]]
-    mixed = ConjClass(tuple(sorted([Perm.parse("(1,2)", 4), Perm.parse("(1,2)(3,4)", 4)])))
+    mixed = ConjClass(np.array(sorted([Perm.parse("(1,2)", 4).images,
+                                       Perm.parse("(1,2)(3,4)", 4).images])))
     for C in (part, mixed):
         with pytest.raises(ValueError):
             killing_matrix(S4, C)
@@ -344,12 +345,12 @@ def test_casimir_degenerate_raises():
 def test_casimir_not_central_on_fake_class():
     # a one-element "class" that is not closed under conjugation
     c3 = Perm.parse("(1,2,3)")
-    fake = ConjClass(members=(c3,), label="fake", group_order=6)
+    fake = ConjClass(np.array([c3.images]), label="fake")
     G = symmetric_group(3)
     with pytest.raises(ValueError):
         killing_matrix(G, fake)
     from killform.exactlinalg import IntSymMatrix
-    K = KillingForm(IntSymMatrix([[1]]), fake.members, group=G, conj_class=fake)
+    K = KillingForm(IntSymMatrix([[1]]), fake.arr, group=G, conj_class=fake)
     with pytest.raises(NotCentral):  # |Z(c3^2) ∩ {c3}| = 1
         casimir(K)
 
@@ -411,11 +412,11 @@ def test_trivial_class_rejected():
 
 
 def test_row_sum_mismatch():
-    t = Perm.parse("(1,2)")
-    u = Perm.parse("(1,3)")
-    fake = ConjClass(members=tuple(sorted([t, u])), label="fake", group_order=6)
+    t = Perm.parse("(1,2)", 3)
+    u = Perm.parse("(1,3)", 3)
+    fake = ConjClass(np.array(sorted([t.images, u.images])), label="fake")
     from killform.exactlinalg import IntSymMatrix
-    K = KillingForm(IntSymMatrix([[1, 2], [2, 5]]), fake.members, group=symmetric_group(3),
+    K = KillingForm(IntSymMatrix([[1, 2], [2, 5]]), fake.arr, group=symmetric_group(3),
                     conj_class=fake)
     with pytest.raises(RowSumMismatch):
         analyze(K)

@@ -6,6 +6,7 @@ from killform.groups import symmetric_class, symmetric_group
 from killform.killing import AlgebraVector, killing_matrix, theta_vector
 from killform.perms import Perm
 from killform.specht import (
+    _fixed_counts,
     Partition,
     Tableau,
     class_sign,
@@ -262,6 +263,15 @@ def test_standard_character_counts_fixed_points():
 
 
 # ------------------------------------------------------------- occurrence
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_fixed_counts_match_counts_at_each_class_representative(n):
+    for mu in partitions_of(n):
+        Cmu = symmetric_class(n, mu)
+        want = [(nu, class_size(n, nu), int(Cmu.commuting_count(symmetric_class(n, nu).arr[:1])[0]))
+                for nu in partitions_of(n)]
+        assert list(_fixed_counts(n, mu)) == want
+
 
 def test_specht_multiplicity_four_cycles():
     # class of 4-cycles decomposes as trivial + (2,2) + (2,1,1), one copy each
