@@ -30,7 +30,7 @@ from .errors import (
 from .exactlinalg import _eliminate, _is_prime, _matmul_mod
 from .gf import _least_primitive_root
 from .groups import ConjClass, Group
-from .killing import KillingForm
+from .killing import KillingForm, _roth_holds
 
 CLASS_CAP = 64
 ORTHOGONALITY_TOL = 1e-8
@@ -473,14 +473,22 @@ def multiplicities(f, T: CharTable) -> list[int]:
 def roth_check(G: Group, table: CharTable | None = None) -> tuple[bool, list[int]]:
     """Does every irrep occur in the conjugation representation on CG?
 
-    Only posed for trivial-centre groups; the character is g -> |Z(g)|.
+    Only posed for trivial-centre groups; the character is g -> |Z(g)|.  The
+    verdict is decided exactly by the rank of the class-sum Gram matrix
+    (killing._roth_holds); the multiplicities come from the table and must
+    agree with it.
     """
     if len(G.centre()) != 1:
         raise NontrivialCentre(f"{G.name or 'G'} has nontrivial centre")
     T = table if table is not None else character_table(G)
     f = ClassFunction(tuple(G.order // cl.size for cl in G.classes()))
     mults = multiplicities(f, T)
-    return all(m > 0 for m in mults), mults
+    holds = _roth_holds(G)
+    if holds != all(m > 0 for m in mults):
+        raise OrthogonalityFailure(
+            f"table multiplicities {mults} disagree with the exact verdict that Roth's "
+            f"property {'holds' if holds else 'fails'}")
+    return holds, mults
 
 
 # -------------------------------------------------------------- decomposition

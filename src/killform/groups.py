@@ -293,18 +293,20 @@ def conjugacy_classes(G: Group) -> list[ConjClass]:
     for g in G.generators:
         g_arr = np.asarray(g.images, dtype=arr.dtype)
         conj.append(G.locator.locate(g_arr[arr[:, np.argsort(g_arr)]]))
-    seen = np.zeros(G.order, dtype=bool)
+    unseen = np.ones(G.order, dtype=bool)
     raw = []
-    for seed in range(G.order):
-        if seen[seed]:
-            continue
-        seen[seed] = True
+    left, seed = G.order, 0
+    while left:
+        # the first unseen index; argmax of a bool array stops at the first True
+        seed += int(np.argmax(unseen[seed:]))
+        unseen[seed] = False
         layers = [np.array([seed])]
         while layers[-1].size:
             frontier = np.unique(np.array([c[layers[-1]] for c in conj], dtype=np.intp))
-            layers.append(frontier[~seen[frontier]])
-            seen[layers[-1]] = True
+            layers.append(frontier[unseen[frontier]])
+            unseen[layers[-1]] = False
         idx = np.sort(np.concatenate(layers))
+        left -= idx.size
         cl = ConjClass(arr[idx])
         raw.append((cl.element_order, cl.size, seed, idx, cl))
     raw.sort(key=lambda t: t[:3])

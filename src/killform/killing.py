@@ -21,6 +21,7 @@ from .exactlinalg import (
     Signature,
     connected_components,
     exact_inverse,
+    exact_rank,
     signature,
     spectrum,
 )
@@ -230,8 +231,61 @@ def universal_killing(G: Group, cap: int = MATRIX_CAP, include_identity: bool = 
                        includes_identity=include_identity)
 
 
+def _class_sum_gram(G: Group) -> IntSymMatrix:
+    """S = Ind^T F Ind for F[a][b] = |Z(ab)| over G and Ind the class indicator
+    vectors: S[j][l] = |C_j| * sum over y in C_l of |Z(g_j y)|, from one located
+    block of products g_j y of the class representatives g_j with all of G."""
+    sizes = np.array([cl.size for cl in G.classes()], dtype=np.int64)
+    values = (G.order // sizes)[G.class_map[G.locator.product_indices(G.class_reps, G.arr)]]
+    by_class = np.argsort(G.class_map, kind="stable")
+    starts = np.searchsorted(G.class_map[by_class], np.arange(len(sizes)))
+    return IntSymMatrix(sizes[:, None] * np.add.reduceat(values[:, by_class], starts, axis=1))
+
+
+def _roth_holds(G: Group, seed: int = 0) -> bool:
+    """Roth's property, decided exactly: every irrep of G occurs in the
+    conjugation representation on CG.
+
+    F = L J, with L the convolution by the conjugation character |Z| and J the
+    inversion permutation.  L acts on the isotypic block of the i-th irrep
+    (degree d_i) as the scalar (|G| / d_i) * m_i, where m_i >= 0 is that
+    irrep's multiplicity in the conjugation representation.  F maps the centre
+    of CG, spanned by the class indicators, to itself, and the central
+    idempotents are eigenvectors of L, so S = Ind^T F Ind is nonsingular
+    exactly when every m_i > 0.
+    """
+    S = _class_sum_gram(G)
+    return exact_rank(S, seed=seed) == S.dim
+
+
+def _universal_signature(K: KillingForm, seed: int = 0) -> Signature | None:
+    """The signature of a universal form in closed form, or None when Roth's
+    property fails.
+
+    Let f = |Z| - 1 and t = #{g : g^2 = e}, e counted.  Over all of G the form
+    is F[a][b] = f(ab) = (L_f J)[a][b]: L_f, the convolution by f, is
+    symmetric and commutes with J, and acts on the i-th isotypic block as
+    (|G| / d_i) * (m_i - [i trivial]) >= 0; on the trivial block that is
+    |G| * (#classes - 1) > 0 for |G| >= 2.  Under Roth's property every m_i > 0,
+    so L_f is positive definite, F = L_f^(1/2) J L_f^(1/2) has the inertia of
+    J, ((|G| + t)/2, (|G| - t)/2, 0), and F is nonsingular.  Over G \\ {e},
+    (F^-1)_ee = (L_f^-1)_ee > 0 is the inverse of the Schur complement of the
+    rest, so by Haynsworth's inertia additivity the form loses (1, 0, 0).
+    """
+    G = K.group
+    if not _roth_holds(G, seed=seed):
+        return None
+    squares = np.take_along_axis(G.arr, G.arr, axis=1)
+    t = int((squares == np.arange(G.degree)).all(axis=1).sum())
+    return Signature((G.order + t) // 2 - (not K.includes_identity), (G.order - t) // 2, 0)
+
+
 def analyze(K: KillingForm, seed: int = 0) -> KillingForm:
-    """Fill the analysis bundle: lambda_max, components, signature, chi."""
+    """Fill the analysis bundle: lambda_max, components, signature, chi.
+
+    A universal form's signature is read off the group when Roth's property
+    holds (_universal_signature); every other form goes through `signature`.
+    """
     M = K.matrix
     lam = chi = real = None
     if K.is_class_calculus:
@@ -244,7 +298,9 @@ def analyze(K: KillingForm, seed: int = 0) -> KillingForm:
         chi = int(K.conj_class.commuting_count(K.conj_class.arr[:1])[0])
         real = K.conj_class.is_real
     comps = connected_components(M)
-    sig = signature(M, seed=seed)
+    sig = _universal_signature(K, seed=seed) if K.universal else None
+    if sig is None:
+        sig = signature(M, seed=seed)
     K.analysis = KillingAnalysis(
         is_real=real,
         lambda_max=lam,

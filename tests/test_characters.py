@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from golden_survey import GROUP_SPECS
+from killform import characters
+
 from killform.characters import (
     CharTable,
     ClassFunction,
@@ -200,6 +203,21 @@ def test_roth_rejects_nontrivial_centre():
     C4 = generate_group([Perm.parse("(1,2,3,4)")], name="C4")
     with pytest.raises(NontrivialCentre):
         roth_check(C4)
+
+
+def test_roth_fails_exactly_on_psu33():
+    # the multiplicity of one irrep in the conjugation representation is 0
+    ok, mults = roth_check(build_named_group(GROUP_SPECS["PSU(3,3)"]))
+    assert not ok and mults.count(0) == 1
+
+
+@pytest.mark.parametrize("name", ["A5", "PSU(3,3)"])
+def test_roth_raises_when_the_table_disagrees_with_the_exact_verdict(name, monkeypatch):
+    G = build_named_group(GROUP_SPECS[name])
+    holds, _ = roth_check(G)
+    monkeypatch.setattr(characters, "_roth_holds", lambda G: not holds)
+    with pytest.raises(OrthogonalityFailure, match="disagree with the exact verdict"):
+        roth_check(G)
 
 
 def test_roth_trivial_multiplicity_counts_classes():

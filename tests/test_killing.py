@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from killform import killing
+from killform.characters import ClassFunction, character_table, multiplicities, roth_check
 from killform.errors import (
     CapExceeded,
     ElementNotInGroup,
@@ -19,9 +22,11 @@ from killform.groups import (
     build_named_group,
     centralizer_count,
     generate_group,
+    psl2,
     symmetric_class,
     symmetric_group,
 )
+from killform.exactlinalg import connected_components, exact_rank, signature
 from killform.killing import (
     AlgebraVector,
     KillingForm,
@@ -148,6 +153,100 @@ def test_universal_analyze_skips_row_sum_check():
     assert K.analysis.lambda_max is None
     assert K.analysis.chi_on_class is None
     assert K.analysis.component_count == 1
+
+
+# ----------------------------------- universal signature in closed form (Roth)
+
+ROTH_SPECS = ["S3", "S4", "S5", "S6", "A4", "A5", "A6", "A7",
+              "PSL(2,7)", "PSL(2,8)", "PSL(2,11)", "PSL(2,13)"]
+
+# groups where some irrep is missing from the conjugation representation
+NON_ROTH_GENERATORS = {
+    "C2": (2, ["(1,2)"]),
+    "C4": (4, ["(1,2,3,4)"]),
+    "D8": (4, ["(1,2,3,4)", "(1,3)"]),
+    "(Z2)^3": (6, ["(1,2)", "(3,4)", "(5,6)"]),
+}
+
+
+def non_roth_group(name):
+    degree, gens = NON_ROTH_GENERATORS[name]
+    return generate_group([Perm.parse(g, degree=degree) for g in gens], name=name)
+
+
+class MatrixSignatureCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("include_identity", [False, True])
+@pytest.mark.parametrize("spec", ROTH_SPECS)
+def test_universal_closed_form_matches_the_matrix_signature(spec, include_identity):
+    K = universal_killing(build_named_group(spec), include_identity=include_identity)
+    closed = killing._universal_signature(K)
+    assert closed is not None, spec
+    assert closed == signature(K.matrix), spec
+    assert analyze(K).analysis.signature == closed
+
+
+@pytest.mark.parametrize("include_identity", [False, True])
+@pytest.mark.parametrize("name", sorted(NON_ROTH_GENERATORS))
+def test_universal_signature_falls_back_to_the_matrix_without_roth(name, include_identity,
+                                                                   monkeypatch):
+    G = non_roth_group(name)
+    S = killing._class_sum_gram(G)
+    assert exact_rank(S) < S.dim == len(G.classes())
+    K = universal_killing(G, include_identity=include_identity)
+    assert killing._universal_signature(K) is None
+    seen = []
+    monkeypatch.setattr(killing, "signature", lambda M, seed=0: seen.append(M) or signature(M))
+    assert analyze(K).analysis.signature == signature(K.matrix)
+    assert seen == [K.matrix]
+
+
+def test_universal_analyze_runs_no_matrix_signature_under_roth(monkeypatch):
+    def refuse(M, seed=0):
+        raise MatrixSignatureCalled
+
+    monkeypatch.setattr(killing, "signature", refuse)
+    K = analyze(universal_killing(psl2(7)))
+    assert K.analysis.signature.astuple() == (94, 73, 0)
+    with pytest.raises(MatrixSignatureCalled):
+        analyze(universal_killing(non_roth_group("C4")))
+
+
+def test_class_sum_gram_of_s3():
+    # classes e, 2A, 3A of sizes 1, 3, 2; S[j][l] = |C_j| sum_{y in C_l} |Z(g_j y)|
+    assert killing._class_sum_gram(symmetric_group(3)).data.tolist() == [
+        [6, 6, 6], [6, 36, 12], [6, 12, 18]]
+
+
+@st.composite
+def small_permutation_groups(draw):
+    degree = draw(st.integers(2, 6))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    return generate_group([Perm(g) for g in gens], degree=degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_permutation_groups())
+def test_universal_closed_form_on_random_groups(G):
+    conj = ClassFunction(tuple(G.order // cl.size for cl in G.classes()))
+    T = character_table(G)
+    S = killing._class_sum_gram(G)
+    roth = exact_rank(S) == S.dim
+    assert roth == all(m > 0 for m in multiplicities(conj, T))
+    if len(G.centre()) == 1:
+        assert roth_check(G, T)[0] == roth
+    if G.order < 2:
+        return
+    for include_identity in (False, True):
+        K = universal_killing(G, include_identity=include_identity)
+        closed = killing._universal_signature(K)
+        assert (closed is not None) == roth
+        a = analyze(K).analysis
+        assert a.signature == signature(K.matrix)
+        assert closed is None or closed == a.signature
+        assert a.component_count == len(connected_components(K.matrix))
 
 
 # ------------------------------------------------------------------ A5 analyses
