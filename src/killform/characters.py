@@ -7,13 +7,17 @@ eigenvectors are the central characters mod p, degrees come from the first
 orthogonality relation mod p, and values are lifted to C by the discrete
 Fourier sum over root-of-unity multiplicities (which are small non-negative
 integers, so the modular shadow determines them).  Everything that leaves the
-module is validated against both orthogonality relations.
+module is validated against both orthogonality relations.  The rational
+central idempotents of QG, one per Galois orbit of irreducibles, are proposed
+by the table and then checked exactly in the class algebra
+(`rational_idempotents`); the class-form signature is decided with them.
 """
 from __future__ import annotations
 
 import cmath
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +25,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     ElementNotInGroup,
+    KillformError,
     NoSuitablePrime,
     NontrivialCentre,
     NotACharacter,
@@ -352,6 +357,20 @@ def _class_mult_matrices(G: Group) -> list[np.ndarray]:
     return Ms
 
 
+def _power_classes(G: Group) -> list[list[int]]:
+    """power_class[j][t] is the class of g_j^t for t < |g_j|, g_j the
+    representative of class j: all powers composed as rows, located at once."""
+    powers = []
+    for c in G.classes():
+        x = np.arange(G.degree, dtype=c.arr.dtype)
+        for _ in range(c.element_order):
+            powers.append(x)
+            x = x[c.arr[0]]
+    located = G.class_map[G.locator.locate(np.array(powers))]
+    orders = [c.element_order for c in G.classes()]
+    return [pc.tolist() for pc in np.split(located, np.cumsum(orders)[:-1])]
+
+
 def character_table(G: Group, cap: int = CLASS_CAP) -> CharTable:
     classes = G.classes()
     k = len(classes)
@@ -367,17 +386,9 @@ def character_table(G: Group, cap: int = CLASS_CAP) -> CharTable:
     Ms = _class_mult_matrices(G)
     vecs = _common_eigenvectors([M % p for M in Ms], p)
 
-    # power_class[j][t] is the class of g_j^t, t < |g_j|; g_j^-1 = g_j^(|g_j| - 1)
     orders = [c.element_order for c in classes]
-    powers = []
-    for c in classes:
-        x = np.arange(G.degree, dtype=c.arr.dtype)
-        for _ in range(c.element_order):
-            powers.append(x)
-            x = x[c.arr[0]]
-    located = G.class_map[G.locator.locate(np.array(powers))]
-    power_class = [pc.tolist() for pc in np.split(located, np.cumsum(orders)[:-1])]
-    dual_class = [pc[-1] for pc in power_class]
+    power_class = _power_classes(G)
+    dual_class = [pc[-1] for pc in power_class]  # g_j^-1 = g_j^(|g_j| - 1)
     inv_sizes = [pow(s, p - 2, p) for s in sizes]
     order_mod = G.order % p
     isq = math.isqrt(G.order)
@@ -489,6 +500,79 @@ def roth_check(G: Group, table: CharTable | None = None) -> tuple[bool, list[int
             f"table multiplicities {mults} disagree with the exact verdict that Roth's "
             f"property {'holds' if holds else 'fails'}")
     return holds, mults
+
+
+# ------------------------------------------------ rational central idempotents
+
+# group -> its certified rational central idempotents, or None; one entry per
+# group, dropped with the group
+_IDEMPOTENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def rational_idempotents(G: Group) -> list[tuple[int, np.ndarray]] | None:
+    """The central idempotents of QG, one per Galois orbit O of irreducibles,
+    as pairs (d, u) with e_O = (d/|G|) * sum_j u[j] * (sum of C_j): d is the
+    degree, common to O, and u[j] = sum over chi in O of chi(g_j^-1).
+
+    The orbits and the traces u come from the float table, through its
+    power maps, and the orbit sums are rounded to integers.  Then they are
+    checked exactly, so a wrong table cannot pass: e_O^2 = e_O, read off the
+    class structure constants, makes each e_O a central idempotent; sum_O d u
+    = |G| on the identity class and 0 elsewhere makes them sum to 1; and u
+    must be rational, equal on g and g^-1.  Computed once per group; None
+    where the table is unavailable (more than CLASS_CAP classes, no suitable
+    prime) or a check fails.
+    """
+    if G not in _IDEMPOTENTS:
+        try:
+            T = character_table(G)
+        except KillformError:
+            _IDEMPOTENTS[G] = None
+        else:
+            _IDEMPOTENTS[G] = _certified_idempotents(G, T)
+    return _IDEMPOTENTS[G]
+
+
+def _certified_idempotents(G: Group, T: CharTable) -> list[tuple[int, np.ndarray]] | None:
+    """rational_idempotents(G) proposed by the table T and checked; None
+    where a proposal or a check fails."""
+    # mean[i] is chi_i averaged over the Galois group, chi(g) -> chi(g^t) for
+    # the units t mod the exponent: the same row for every chi of an orbit O,
+    # and |O| times it is the orbit sum
+    power = _power_classes(G)
+    n = G.exponent()
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+    k = len(power)
+    A = np.zeros((k, k))
+    for j, pc in enumerate(power):
+        np.add.at(A, (pc, j), np.bincount(units % len(pc), minlength=len(pc)))
+    X = np.array(T.chars, dtype=complex)
+    mean = X @ A / len(units)
+    out, seen = [], np.zeros(k, dtype=bool)
+    for i in range(k):
+        if not seen[i]:
+            orbit = np.abs(mean - mean[i]).max(axis=1) <= INTEGER_TOL
+            seen |= orbit
+            traces = orbit.sum() * mean[i].conj()
+            u = np.rint(traces.real).astype(np.int64)
+            if np.abs(traces - u).max() > INTEGER_TOL:
+                return None
+            out.append((T.degrees[i], u))
+    d = np.array([dd for dd, _ in out], dtype=np.int64)
+    U = np.array([u for _, u in out])
+    u_max = int(np.abs(U).max())
+    if G.order * u_max * u_max * int(d.max()) >= 1 << 62:
+        return None  # d times the square of e_O would not fit in int64
+    # e_O^2 in the class-sum basis, through the structure constants: the sum
+    # of C_a times the sum of C_b is sum_c M_a[b, c] * (sum of C_c)
+    square = np.einsum("abc,oa,ob->oc", np.array(_class_mult_matrices(G)), U, U)
+    unit = np.zeros(k, dtype=np.int64)
+    unit[0] = G.order
+    dual = [pc[-1] for pc in power]
+    if ((d[:, None] * square != G.order * U).any() or (d @ U != unit).any()
+            or (U[:, dual] != U).any()):
+        return None
+    return out
 
 
 # -------------------------------------------------------------- decomposition

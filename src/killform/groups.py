@@ -106,10 +106,30 @@ class BaseLocator:
         """
         self.locate(A)
         self.locate(B)
-        state = np.zeros((len(A), len(B)), dtype=np.int32)
-        for beta, pos, table in zip(self.base, self.positions, self.tables):
+        return self.products(A, B)
+
+    def products(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """product_indices for rows already known to be elements: nothing is
+        checked, so a row outside the group gives a wrong index, not an error."""
+        return self._walk((len(A), len(B)), (pos[A][:, B[:, beta]]
+                                             for beta, pos in zip(self.base, self.positions)))
+
+    def conjugates(self, X: np.ndarray, H: np.ndarray) -> np.ndarray:
+        """Row index of h x h^-1 for each row x of X and h of H, as a
+        (len(X), len(H)) array; as for `products`, every row must be an element.
+        Only the points h^-1(beta) of the base are inverted."""
+        cols = np.arange(len(H))
+        return self._walk((len(X), len(H)),
+                          (pos[H[cols, X[:, np.argmax(H == beta, axis=1)]]]
+                           for beta, pos in zip(self.base, self.positions)))
+
+    def _walk(self, shape, columns) -> np.ndarray:
+        """Row indices of the given shape, from the orbit positions of the base
+        images: one array of that shape per base point, in base order."""
+        state = np.zeros(shape, dtype=np.int32)
+        for col, table in zip(columns, self.tables):
             state *= table.shape[1]
-            state += pos[A][:, B[:, beta]]
+            state += col
             state = table.ravel().take(state)
         return state
 

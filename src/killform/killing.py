@@ -5,9 +5,17 @@ conjugation, so K[a][b] = phi_C(ab) with phi_C the conjugation character,
 evaluated once per class of G; the universal form takes phi = |Z| - 1.  The
 brute-force double loop over |Z(ab) ∩ C| exists only as a test oracle
 (killing_matrix_bruteforce).
+
+The signature of a class form is decided on the orbits of the centraliser
+Z(g) on C, one block per rational central idempotent of QG, on matrices of
+total size r = sum of m_i^2 instead of |C| (_orbital_signature); the
+universal form's comes in closed form from Roth's property
+(_universal_signature).  The dense matrix `signature` decides the rest and
+stays the test oracle.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,9 +27,11 @@ from .errors import CapExceeded, NotCentral, RowSumMismatch, ZeroMultiplicity
 from .exactlinalg import (
     IntSymMatrix,
     Signature,
+    _eliminate,
     connected_components,
     exact_inverse,
     exact_rank,
+    random_prime_22,
     signature,
     spectrum,
 )
@@ -145,9 +155,10 @@ def _form_matrix(basis_arr: np.ndarray, phi_block) -> IntSymMatrix:
 
 
 def _class_function(G: Group, per_class, basis_arr: np.ndarray):
-    """A -> per_class[class of ab] for rows a of A and b of basis_arr, all in G."""
+    """A -> per_class[class of ab] for rows a of A and b of basis_arr; the
+    caller has checked that the rows of basis_arr are elements of G."""
     per_element = np.asarray(per_class, dtype=np.int64)[G.class_map]
-    return lambda A: per_element[G.locator.product_indices(A, basis_arr)]
+    return lambda A: per_element[G.locator.products(A, basis_arr)]
 
 
 def _cycle_lengths(X: np.ndarray) -> np.ndarray:
@@ -202,6 +213,7 @@ def killing_matrix(G: Group | None, C: ConjClass, cap: int = MATRIX_CAP) -> Kill
     if G is None:
         phi = _cycle_type_function(C)
     else:
+        # the one check of C's rows: products of checked rows are not rechecked
         in_class = G.class_map[G.locator.locate(C.arr)]
         if (in_class != in_class[0]).any() or C.size != G.classes()[in_class[0]].size:
             raise ValueError(f"{C!r} is not a conjugacy class of {G.name}")
@@ -280,11 +292,147 @@ def _universal_signature(K: KillingForm, seed: int = 0) -> Signature | None:
     return Signature((G.order + t) // 2 - (not K.includes_identity), (G.order - t) // 2, 0)
 
 
+# conjugates h x h^-1 located per block, about this many at a time
+_CONJUGATE_ENTRIES = 1 << 18
+
+
+def _orbital_signature(K: KillingForm, seed: int = 0) -> Signature | None:
+    """The signature of a class form, decided on the Z(g)-orbits of C, g the
+    representative; None where the group has no certified idempotents or an
+    exact check fails.
+
+    K commutes with conjugation, so on the isotypic part of the i-th irrep
+    (degree d_i, multiplicity m_i in CC) it acts as B_i (x) I_{d_i} for an
+    m_i x m_i block B_i, and its inertia is sum_i d_i * inertia(B_i).  The
+    Z(g)-fixed vectors are spanned by the indicators of the orbits O_s
+    (representatives x_s, sizes w_s); each isotypic part meets them in m_i
+    dimensions, where K's form is S = diag(w) L, L[s,t] = sum over b in O_t
+    of K[x_s, b], with inertia sum_i m_i * inertia(B_i).  A rational central
+    idempotent e_O (characters.rational_idempotents) acts on the fixed
+    vectors as E_O = (d/|G|) N_O, N_O[s,t] = sum over h with h x_s h^-1 in
+    O_t of u(h) (u is equal on h and h^-1), and on an integer basis P of
+    its image, P^T S P carries
+    the O-part scaled by m where K carries it scaled by d.  Each block counts
+    with the weight d/m, which is certified rather than read off the table:
+    it is a / rho with rho = tr E_O = sum_O m_i^2, a = tr e_O on CC =
+    sum_O d_i m_i and b = tr e_O on CG = sum_O d_i^2, and a^2 = b * rho
+    holds only when d_i / m_i is the same on all of O (Cauchy-Schwarz).
+    """
+    from . import characters  # it imports this module
+
+    G, C, M = K.group, K.conj_class, K.matrix.data
+    idempotents = characters.rational_idempotents(G)
+    if idempotents is None:
+        return None
+    members = np.flatnonzero(G.class_map == G.class_index_of(C.representative))
+    if not np.array_equal(G.arr[members], C.arr):
+        return None
+    in_C = np.full(G.order, -1, dtype=np.intp)
+    in_C[members] = np.arange(C.size)
+    # everything below rests on K commuting with conjugation
+    gens = np.array([h.images for h in G.generators], dtype=C.arr.dtype).reshape(-1, G.degree)
+    for perm in in_C[G.locator.conjugates(C.arr, gens)].T:
+        if not np.array_equal(M[np.ix_(perm, perm)], M):
+            return None
+
+    # the Z(g)-orbits, each labelled by its first member, and S on them
+    g = C.arr[0]
+    Z = G.arr[(G.arr[:, g] == g[G.arr]).all(axis=1)]
+    first, orbit_of, w = np.unique(in_C[G.locator.conjugates(C.arr, Z)].min(axis=1),
+                                   return_inverse=True, return_counts=True)
+    orbit_of, r = orbit_of.ravel(), len(first)
+    if C.size ** 2 * int(np.abs(M).max()) >= 1 << 62:
+        return None  # S would not fit in int64
+    by_orbit = np.argsort(orbit_of, kind="stable")
+    starts = np.searchsorted(orbit_of[by_orbit], np.arange(r))
+    S = w[:, None] * np.add.reduceat(M[first][:, by_orbit], starts, axis=1)
+    if not np.array_equal(S, S.T):
+        return None
+
+    degrees = [d for d, _ in idempotents]
+    U = np.array([u for _, u in idempotents])
+    if int(np.abs(U).max()) * G.order * max(degrees) * len(U) >= 1 << 62:
+        return None  # the sum of the d N_O would not fit in int64
+    N = _orbital_class_sums(G, C.arr[first], in_C, orbit_of, U)
+    if not np.array_equal(np.tensordot(degrees, N, axes=1), G.order * np.eye(r, dtype=np.int64)):
+        return None  # the E_O do not sum to 1
+    phi = C.commuting_count(G.class_reps)
+    sizes = np.array([cl.size for cl in G.classes()], dtype=np.int64)
+    rng = random.Random(seed)
+    total = [0, 0, 0]
+    for d, u, N_O in zip(degrees, U, N):
+        rho = Fraction(d * int(np.trace(N_O)), G.order)
+        if rho == 0:
+            continue
+        a = Fraction(d * int(u.astype(object) @ (sizes * phi)), G.order)
+        if rho.denominator != 1 or a * a != d * int(u[0]) * rho:
+            return None
+        P = _image_basis(N_O, int(rho), rng)
+        if P is None or int(np.abs(S).max()) * int(np.abs(P).sum(axis=0).max()) ** 2 >= 1 << 62:
+            return None  # no certified basis, or P^T S P would not fit in int64
+        part = [x * a / rho for x in signature(IntSymMatrix(P.T @ S @ P), seed=seed).astuple()]
+        if any(x.denominator != 1 for x in part):
+            return None
+        total = [x + int(y) for x, y in zip(total, part)]
+    return Signature(*total) if sum(total) == C.size else None
+
+
+def _orbital_class_sums(G: Group, X: np.ndarray, in_C: np.ndarray, orbit_of: np.ndarray,
+                        U: np.ndarray) -> np.ndarray:
+    """N[o][s, t] = sum over h in G with h x_s h^-1 in O_t of U[o][class of h],
+    for the rows x_s of X; in_C and orbit_of take a group index to C and C to
+    its orbit.  The conjugates are located a block of one class at a time."""
+    r = len(X)
+    N = np.zeros((len(U), r * r), dtype=np.int64)
+    cell = np.arange(r)[:, None] * r
+    step = max(1, _CONJUGATE_ENTRIES // r)
+    for j in range(len(G.classes())):
+        H = G.arr[G.class_map == j]
+        counts = np.zeros(r * r, dtype=np.int64)
+        for h0 in range(0, len(H), step):
+            t = orbit_of[in_C[G.locator.conjugates(X, H[h0:h0 + step])]]
+            counts += np.bincount((cell + t).ravel(), minlength=r * r)
+        N += np.outer(U[:, j], counts)
+    return N.reshape(len(U), r, r)
+
+
+def _image_basis(N: np.ndarray, rank: int, rng: random.Random) -> np.ndarray | None:
+    """rank columns of N that span its image, each divided by its content;
+    None if their rank mod eight 22-bit primes all falls short.
+
+    The columns are picked in float as QR with column pivoting picks them
+    (Businger and Golub 1965), the one with the largest residual each time,
+    so that P^T S P is well conditioned and the float separation in
+    `signature` decides; the raw columns of N are spread over many orders of
+    magnitude.  Their independence is then certified by the rank mod p.
+    """
+    R = N.astype(np.float64)
+    picked = []
+    for _ in range(rank):
+        norms = (R * R).sum(axis=0)
+        c = int(np.argmax(norms))
+        picked.append(c)
+        q = R[:, c] / np.sqrt(norms[c])
+        R -= np.outer(q, q @ R)
+    P = N[:, picked]
+    for _ in range(8):
+        if _eliminate(P, random_prime_22(rng))[0] == rank:
+            return P // np.gcd.reduce(P, axis=0)
+    return None
+
+
 def analyze(K: KillingForm, seed: int = 0) -> KillingForm:
     """Fill the analysis bundle: lambda_max, components, signature, chi.
 
-    A universal form's signature is read off the group when Roth's property
-    holds (_universal_signature); every other form goes through `signature`.
+    The signature is decided by the first route that applies:
+    - a universal form, when Roth's property holds: in closed form
+      (_universal_signature);
+    - a class form with its group, when the group's rational central
+      idempotents are certified (at most characters.CLASS_CAP classes) and
+      every exact check passes: block by block on the Z(g)-orbits of C
+      (_orbital_signature), each block weighted by d/m;
+    - anything else (G None, the checks or the table fail): `signature` of
+      the whole matrix.
     """
     M = K.matrix
     lam = chi = real = None
@@ -298,7 +446,11 @@ def analyze(K: KillingForm, seed: int = 0) -> KillingForm:
         chi = int(K.conj_class.commuting_count(K.conj_class.arr[:1])[0])
         real = K.conj_class.is_real
     comps = connected_components(M)
-    sig = _universal_signature(K, seed=seed) if K.universal else None
+    sig = None
+    if K.universal:
+        sig = _universal_signature(K, seed=seed)
+    elif K.is_class_calculus and K.group is not None:
+        sig = _orbital_signature(K, seed=seed)
     if sig is None:
         sig = signature(M, seed=seed)
     K.analysis = KillingAnalysis(

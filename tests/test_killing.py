@@ -1,13 +1,16 @@
 """Killing form construction against hand-checked matrices and the brute-force route."""
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from killform import killing
-from killform.characters import ClassFunction, character_table, multiplicities, roth_check
+from killform import characters, exactlinalg, killing
+from killform.characters import (CharTable, ClassFunction, character_table, multiplicities,
+                                 roth_check)
+from killform.cli import cmd_survey
 from killform.errors import (
     CapExceeded,
     ElementNotInGroup,
@@ -17,6 +20,7 @@ from killform.errors import (
     ZeroMultiplicity,
 )
 from killform.groups import (
+    BaseLocator,
     ConjClass,
     alternating_group,
     build_named_group,
@@ -41,6 +45,8 @@ from killform.killing import (
     universal_killing,
 )
 from killform.perms import Perm
+
+PSU33 = Path(__file__).resolve().parent.parent / "data" / "psu33.grp"
 
 
 def class_by_label(G, label):
@@ -249,6 +255,109 @@ def test_universal_closed_form_on_random_groups(G):
         assert a.component_count == len(connected_components(K.matrix))
 
 
+# ------------------------------------- class-form signature on the Z(g)-orbits
+
+ORBITAL_SPECS = ["S3", "S4", "S5", "S6", "A4", "A5", "A6", "A7",
+                 "PSL(2,7)", "PSL(2,8)", "PSL(2,11)", "PSL(2,13)", f"file:{PSU33}"]
+
+
+@pytest.mark.parametrize("spec", ORBITAL_SPECS)
+def test_orbital_signature_matches_the_matrix(spec):
+    G = build_named_group(spec)
+    for C in G.classes()[1:]:
+        K = killing_matrix(G, C)
+        assert killing._orbital_signature(K) == signature(K.matrix), (spec, C.label)
+
+
+@st.composite
+def permutation_groups_up_to_degree_8(draw):
+    degree = draw(st.integers(2, 8))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    try:
+        return generate_group([Perm(g) for g in gens], degree=degree, cap=3000)
+    except CapExceeded:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(permutation_groups_up_to_degree_8())
+def test_orbital_signature_on_random_groups(G):
+    for C in G.classes()[1:]:
+        K = killing_matrix(G, C)
+        assert killing._orbital_signature(K) == signature(K.matrix), C.label
+
+
+def test_survey_of_psu33_passes_no_class_sized_matrix(monkeypatch):
+    dims = []
+
+    def recording(fn):
+        def wrapper(M, *args, **kwargs):
+            dims.append(M.dim)
+            return fn(M, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(killing, "signature", recording(exactlinalg.signature))
+    monkeypatch.setattr(exactlinalg, "exact_rank", recording(exactlinalg.exact_rank))
+    report = cmd_survey(f"file:{PSU33}")
+    assert report.exit_code == 0 and dims
+    # the classes have 56 to 864 members; the largest orbital block has 50 rows
+    assert max(dims) < min(int(row[1]) for row in report.rows)
+
+
+def _off_by_one(chars):
+    chars[-1][1] += 1  # A5: the degree-5 character on 2A
+
+
+def _swapped(chars):
+    chars[1][2], chars[2][2] = chars[2][2], chars[1][2]  # A6: 5a and 5b on 3A
+
+
+@pytest.mark.parametrize("spec, perturb", [("A5", _off_by_one), ("A6", _swapped)])
+def test_a_perturbed_table_fails_the_checks_and_falls_back(spec, perturb, monkeypatch):
+    G = build_named_group(spec)  # a fresh group: the idempotents are kept per group
+    exact = characters.character_table
+
+    def perturbed(G, cap=characters.CLASS_CAP):
+        T = exact(G, cap)
+        chars = [list(row) for row in T.chars]
+        perturb(chars)
+        return CharTable(T.name, T.class_labels, T.class_sizes, T.degrees, chars, T.provenance)
+
+    monkeypatch.setattr(characters, "character_table", perturbed)
+    assert characters.rational_idempotents(G) is None
+    for C in G.classes()[1:]:
+        K = killing_matrix(G, C)
+        assert killing._orbital_signature(K) is None
+        assert analyze(K).analysis.signature == signature(K.matrix)
+
+
+def test_more_classes_than_the_table_cap_survey_through_the_matrix(tmp_path, monkeypatch):
+    # (Z2)^7 has 128 classes; the table is tried once and the dense path decides
+    path = tmp_path / "z2_7.grp"
+    path.write_text("name (Z2)^7\ndegree 14\n"
+                    + "".join(f"({2 * i + 1},{2 * i + 2})\n" for i in range(7)), encoding="utf-8")
+    tried = []
+    exact = characters.character_table
+    monkeypatch.setattr(characters, "character_table",
+                        lambda G, cap=characters.CLASS_CAP: tried.append(G) or exact(G, cap))
+    report = cmd_survey(f"file:{path}")
+    assert report.exit_code == 0 and len(tried) == 1
+    assert len(report.rows) == 127
+    for row in report.rows:
+        assert row[1:] == ["1", "1", "true", "true", "1", "1", "1", "0", "0", "true"]
+
+
+def test_orbital_route_needs_a_form_that_commutes_with_conjugation():
+    G = alternating_group(5)
+    K = killing_matrix(G, class_by_label(G, "3A"))
+    data = K.matrix.data.copy()
+    # rows that are not the first of their orbit: S, read off those, is unchanged
+    data[18, 19] = data[19, 18] = data[18, 19] + 1
+    tampered = KillingForm(exactlinalg.IntSymMatrix(data), K.basis_arr, group=G,
+                           conj_class=K.conj_class)
+    assert killing._orbital_signature(tampered) is None
+
+
 # ------------------------------------------------------------------ A5 analyses
 
 def test_a5_involutions():
@@ -300,6 +409,18 @@ def test_cycle_type_route_matches_group_route(n):
         assert direct.members == C.members
         K = killing_matrix(None, direct)
         assert np.array_equal(K.matrix.data, killing_matrix(G, C).matrix.data), (n, C.label)
+
+
+def test_class_form_checks_each_row_of_the_class_once(monkeypatch):
+    G = alternating_group(7)
+    C = class_by_label(G, "4A")  # 630 members: the form is built in two blocks of rows
+    G.locator  # built before counting
+    located = []
+    locate = BaseLocator.locate
+    monkeypatch.setattr(BaseLocator, "locate",
+                        lambda self, X: located.append(len(X)) or locate(self, X))
+    killing_matrix(G, C)
+    assert located == [C.size]
 
 
 def test_class_function_route_rejects_a_set_that_is_not_a_class():

@@ -9,6 +9,8 @@ import pytest
 
 from golden_survey import (GOLDEN, GROUP_ORDERS, GROUP_SPECS,
                            computed_multiset, expected_multiset)
+from killform import killing
+from killform.groups import build_named_group
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -33,3 +35,10 @@ def test_fixture_class_counts(survey):
     for name in GOLDEN:
         report = survey(GROUP_SPECS[name])
         assert len(report.rows) == len(expected_multiset(name)), name
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_fixture_class_takes_the_orbital_route(name):
+    G = build_named_group(GROUP_SPECS[name])
+    for C in G.classes()[1:]:
+        assert killing._orbital_signature(killing.killing_matrix(G, C)) is not None, C.label
