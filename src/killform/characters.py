@@ -10,7 +10,9 @@ integers, so the modular shadow determines them).  Everything that leaves the
 module is validated against both orthogonality relations.  The rational
 central idempotents of QG, one per Galois orbit of irreducibles, are proposed
 by the table and then checked exactly in the class algebra
-(`rational_idempotents`); the class-form signature is decided with them.
+(`rational_idempotents`); the class-form signature is decided with them.  The
+eigenspace decomposition runs on the Z(g)-orbits of the class, an r x r
+eigenproblem with r = sum of m_i^2, instead of on the |C|-dim module.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ import numpy as np
 
 from .errors import (
     CapExceeded,
-    ElementNotInGroup,
     KillformError,
     NoSuitablePrime,
     NontrivialCentre,
@@ -32,10 +33,11 @@ from .errors import (
     OrthogonalityFailure,
     ProjectorMismatch,
 )
-from .exactlinalg import _eliminate, _is_prime, _matmul_mod
+from .exactlinalg import (IntSymMatrix, _clustered_eigh, _eliminate, _is_prime, _matmul_mod,
+                          exact_rank)
 from .gf import _least_primitive_root
 from .groups import ConjClass, Group
-from .killing import KillingForm, _roth_holds
+from .killing import KillingForm, _orbital_data, _roth_holds
 
 CLASS_CAP = 64
 ORTHOGONALITY_TOL = 1e-8
@@ -344,17 +346,25 @@ def _common_eigenvectors(Ms: list[np.ndarray], p: int, seed: int = 0xD1C0) -> li
 
 # --------------------------------------------------------------- Dixon proper
 
+# group -> its class structure constants, shared by the table and the
+# idempotent check; dropped with the group
+_CLASS_MULT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _class_mult_matrices(G: Group) -> list[np.ndarray]:
-    """M_i[j][k] = #{x in C_i : x^-1 z_k in C_j} (class-sum structure constants)."""
-    classes = G.classes()
-    k = len(classes)
-    Ms = []
-    for Ci in classes:
-        Ainv = np.argsort(Ci.arr, axis=1).astype(Ci.arr.dtype)
-        # x in C_i with x^-1 z_kk in class j is counted at j*k + kk
-        pairs = G.class_map[G.locator.product_indices(Ainv, G.class_reps)] * k + np.arange(k)
-        Ms.append(np.bincount(pairs.ravel(), minlength=k * k).reshape(k, k))
-    return Ms
+    """M_i[j][k] = #{x in C_i : x^-1 z_k in C_j} (class-sum structure constants),
+    computed once per group."""
+    if G not in _CLASS_MULT:
+        classes = G.classes()
+        k = len(classes)
+        Ms = []
+        for Ci in classes:
+            Ainv = np.argsort(Ci.arr, axis=1).astype(Ci.arr.dtype)
+            # x in C_i with x^-1 z_kk in class j is counted at j*k + kk
+            pairs = G.class_map[G.locator.product_indices(Ainv, G.class_reps)] * k + np.arange(k)
+            Ms.append(np.bincount(pairs.ravel(), minlength=k * k).reshape(k, k))
+        _CLASS_MULT[G] = Ms
+    return _CLASS_MULT[G]
 
 
 def _power_classes(G: Group) -> list[list[int]]:
@@ -582,7 +592,8 @@ class DecompEntry:
     value: float
     dim: int
     mults: tuple[int, ...]
-    integral: bool
+    integral: bool  # the float flag: value within 1e-6 (relative) of an integer
+    certified: bool = False  # round(value) is an eigenvalue of this multiplicity, exactly
 
 
 @dataclass
@@ -605,58 +616,96 @@ class Decomposition:
 
 
 def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
-    """Split each Killing eigenspace into irreducibles of the conjugation action.
+    """Split each Killing eigenspace into irreducibles of the conjugation action,
+    on the Z(g)-orbits of C instead of on the |C|-dim module.
 
-    mult(V_i, E_lam) = (1/|G|) sum_j |C_j| conj(chi_i(g_j)) tr(rho(g_j) E_lam),
-    with the traces evaluated through the orthonormal eigenbasis.
+    K acts on the i-isotypic part of CC as B_i (x) I_{d_i}, and that part meets
+    the Z(g)-fixed vectors in V_i^Z(g) (x) C^{m_i}, of dimension m_i^2: there
+    K acts as I_{m_i} (x) B_i.  In the orthonormal coordinates W^{1/2} v of the
+    orbit indicators (W = diag(w)) K is Y = W^{-1/2} S W^{-1/2}
+    (killing._orbital_data), and the central idempotent of V_i is the
+    orthogonal projector P_i = W^{1/2} E_i W^{-1/2}, E_i = (d_i/|G|) sum_j
+    chi_i(g_j) A_j.  With Y = Q diag(lambda) Q^T, D[i, a] = (Q^T P_i Q)[a, a]
+    sums over an eigenvalue cluster to tr(P_i on that eigenspace of Y), which
+    is m_i times the number of times V_i lies in the eigenspace of K, and over
+    all a to tr P_i = m_i^2.  So m_i = sqrt(sum_a D[i, a]), V_i lies
+    (sum over the cluster of D[i, a]) / m_i times in it, and the eigenspace
+    has dimension sum_i d_i * mult_i.
+
+    The float steps are gated: every multiplicity within PROJECTOR_TOL of an
+    integer, each cluster's size in the fixed vectors equal to
+    sum_i m_i * mult_i, the totals equal to the conjugation-character
+    multiplicities and the dimensions summing to |C|.  A value the float
+    flag calls integral is then checked exactly: lambda = round(value) is
+    certified when S - lambda W has the cluster's size as nullity, and left
+    uncertified when it is nonsingular, so lambda is no eigenvalue at all
+    (M11 5A near -1535 is such a case).
     """
     if not K.is_class_calculus or K.group is None:
         raise ValueError("decomposition needs a class calculus with its group")
     G = K.group
     C = K.conj_class
-    classes = G.classes()
-    k = len(classes)
-    sizes = np.array([c.size for c in classes], dtype=float)
+    orbital = _orbital_data(K)
+    if orbital is None:
+        raise ProjectorMismatch(f"{K!r} has no orbital form: C is not a class of {G.name}, "
+                                f"K does not commute with conjugation, or S overflows int64")
+    S, w = orbital.S, orbital.w
+    root_w = np.sqrt(w)
+    Q, clusters = _clustered_eigh(S / np.outer(root_w, root_w))
+    # diag(Q^T W^{1/2} A_j W^{-1/2} Q), one class at a time
+    left, right = Q * root_w[:, None], Q / root_w[:, None]
+    diagonals = np.array([(left * (A_j @ right)).sum(axis=0) for A_j in orbital.A])
+    degrees = np.array(T.degrees)
+    D = (degrees[:, None] / G.order * (np.array(T.chars, dtype=complex) @ diagonals)).real
+    m = np.sqrt(np.abs(D.sum(axis=1)))
+    m_int = np.rint(m).astype(np.int64)
+    scale = np.where(m_int > 0, m, 1.0)
 
-    B = C.arr
-    in_C = np.full(G.order, -1, dtype=np.intp)
-    in_C[G.locator.locate(B)] = np.arange(C.size)
-    perms = []
-    for g in G.class_reps:
-        ginv = np.argsort(g).astype(B.dtype)
-        perm = in_C[G.locator.locate(ginv[B[:, g]])]  # a -> g^-1 a g
-        if (perm < 0).any():
-            raise ElementNotInGroup(f"{C!r} is not closed under conjugation in {G.name}")
-        perms.append(perm)
-
-    chars = np.array(T.chars, dtype=complex)
     entries = []
-    totals = np.zeros(k, dtype=np.int64)
-    for e in K.spectrum():
-        U = e.vectors
-        traces = np.array([(U[perm] * U).sum() for perm in perms])
-        raw = (sizes * traces) @ chars.conj().T / G.order
-        mults = []
-        for i in range(k):
-            m = round(raw[i].real)
-            if abs(raw[i] - m) > PROJECTOR_TOL:
-                raise ProjectorMismatch(
-                    f"mult of {T.irrep_labels[i]} in E_{e.value:.4g} is {raw[i]:.6f}, "
-                    f"not an integer within {PROJECTOR_TOL}")
-            mults.append(m)
-        if sum(m * d for m, d in zip(mults, T.degrees)) != e.multiplicity:
+    totals = np.zeros(len(degrees), dtype=np.int64)
+    for start, stop, value, integral in clusters:
+        raw = D[:, start:stop].sum(axis=1) / scale
+        mults = np.rint(raw).astype(np.int64)
+        off = np.abs(raw - mults) > PROJECTOR_TOL
+        if off.any():
+            i = int(np.argmax(off))
             raise ProjectorMismatch(
-                f"irrep dims in E_{e.value:.4g} sum to "
-                f"{sum(m * d for m, d in zip(mults, T.degrees))}, eigenspace dim {e.multiplicity}")
-        totals += np.array(mults)
-        entries.append(DecompEntry(value=e.value, dim=e.multiplicity,
-                                   mults=tuple(mults), integral=e.integral))
+                f"mult of {T.irrep_labels[i]} in E_{value:.4g} is {raw[i]:.6f}, "
+                f"not an integer within {PROJECTOR_TOL}")
+        if int(m_int @ mults) != stop - start:
+            raise ProjectorMismatch(
+                f"irreps in E_{value:.4g} meet the fixed vectors in {int(m_int @ mults)} "
+                f"dimensions, the eigenvalue cluster has {stop - start}")
+        certified = integral and _integral_certified(S, w, round(value), stop - start)
+        totals += mults
+        entries.append(DecompEntry(value=value, dim=int(degrees @ mults),
+                                   mults=tuple(mults.tolist()), integral=integral,
+                                   certified=certified))
     expected = multiplicities(conjugation_character(G, C), T)
     if list(totals) != expected:
         raise ProjectorMismatch(
             f"eigenspace totals {list(totals)} != conjugation-character multiplicities {expected}")
+    if sum(e.dim for e in entries) != C.size:
+        raise ProjectorMismatch(
+            f"eigenspace dims sum to {sum(e.dim for e in entries)}, not |C| = {C.size}")
     return Decomposition(class_label=C.label, group_name=G.name or "G",
                          irrep_labels=list(T.irrep_labels), entries=entries, table=T)
+
+
+def _integral_certified(S: np.ndarray, w: np.ndarray, lam: int, size: int) -> bool:
+    """Whether lam is exactly an eigenvalue of K with size dimensions of fixed
+    vectors: S - lam * diag(w) has nullity size, decided by exact_rank.
+    False where lam is no eigenvalue (the float flag was wrong) or the matrix
+    would not fit in int64; ProjectorMismatch where the nullity is another
+    positive number, so the float cluster was wrong."""
+    if int(np.abs(S).max()) + abs(lam) * int(w.max()) >= 1 << 62:
+        return False
+    nullity = len(w) - exact_rank(IntSymMatrix(S - lam * np.diag(w)))
+    if nullity not in (0, size):
+        raise ProjectorMismatch(
+            f"eigenvalue {lam} has nullity {nullity} on the fixed vectors, "
+            f"the eigenvalue cluster has {size}")
+    return nullity == size
 
 
 def central_character(T: CharTable, C: ConjClass, i: int) -> complex:

@@ -264,6 +264,11 @@ def cmd_decompose(group_spec: str, class_selector: str,
                      summands, _fmt_bool(e.integral)])
     blocks = [f"decomposition: {D.render()}"]
     blocks.extend(f"audit: {f}" for f in findings)
+    for e in D.entries:
+        if e.integral and not e.certified:
+            # the row keeps the float flag, so that reports stay byte-stable
+            print(f"warning: {C.label} eigenvalue {e.value:.6f} is flagged integral, but "
+                  f"{round(e.value)} is not an eigenvalue (exact rank)", file=sys.stderr)
     return Report(command="decompose", group_name=G.name, group_order=G.order,
                   seed=seed, columns=columns, rows=rows, blocks=blocks)
 

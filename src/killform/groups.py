@@ -303,16 +303,15 @@ def generate_group(generators: list[Perm], name: str = "", degree: int | None = 
 def conjugacy_classes(G: Group) -> list[ConjClass]:
     """Classes of G sorted by (element order, size, members), labelled nA, nB, ...
 
-    Each generator g acts on element indices by h -> g h g^-1; the classes are
+    Each generator g acts on element indices by h -> g h g^-1, read off the
+    base images of the conjugates (`BaseLocator.conjugates`); the classes are
     the orbits of these index permutations.  Elements are sorted, so the
     smallest index in a class is its lexicographically smallest member, the
     representative.  Also fills G's class map.
     """
     arr = G.arr
-    conj = []
-    for g in G.generators:
-        g_arr = np.asarray(g.images, dtype=arr.dtype)
-        conj.append(G.locator.locate(g_arr[arr[:, np.argsort(g_arr)]]))
+    gens = np.array([g.images for g in G.generators], dtype=arr.dtype).reshape(-1, G.degree)
+    conj = G.locator.conjugates(arr, gens).T
     unseen = np.ones(G.order, dtype=bool)
     raw = []
     left, seed = G.order, 0

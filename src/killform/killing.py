@@ -8,9 +8,10 @@ brute-force double loop over |Z(ab) ∩ C| exists only as a test oracle
 
 The signature of a class form is decided on the orbits of the centraliser
 Z(g) on C, one block per rational central idempotent of QG, on matrices of
-total size r = sum of m_i^2 instead of |C| (_orbital_signature); the
-universal form's comes in closed form from Roth's property
-(_universal_signature).  The dense matrix `signature` decides the rest and
+total size r = sum of m_i^2 instead of |C| (_orbital_signature), from the
+orbital form and class sums that the eigenspace decomposition shares
+(_orbital_data); the universal form's comes in closed form from Roth's
+property (_universal_signature).  The dense matrix `signature` decides the rest and
 stays the test oracle.
 """
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import CapExceeded, NotCentral, RowSumMismatch, ZeroMultiplicity
 from .exactlinalg import (
     IntSymMatrix,
     Signature,
-    _eliminate,
+    _echelon,
     connected_components,
     exact_inverse,
     exact_rank,
@@ -292,8 +293,65 @@ def _universal_signature(K: KillingForm, seed: int = 0) -> Signature | None:
     return Signature((G.order + t) // 2 - (not K.includes_identity), (G.order - t) // 2, 0)
 
 
-# conjugates h x h^-1 located per block, about this many at a time
-_CONJUGATE_ENTRIES = 1 << 18
+@dataclass
+class _OrbitalData:
+    """A class form on the Z(g)-orbits O_1..O_r of C, g = x_1 the representative."""
+    first: np.ndarray  # the index in C of each orbit's first member x_s
+    w: np.ndarray      # the orbit sizes w_s
+    S: np.ndarray      # diag(w) L, L[s,t] = sum over b in O_t of K[x_s, b]
+    A: np.ndarray      # A[j][s, t] = #{h in C_j : h x_s h^-1 in O_t}, one r x r per class
+
+
+def _orbital_data(K: KillingForm) -> _OrbitalData | None:
+    """The orbital form and class sums of a class form with its group; None
+    where C is not a class of G, K does not commute with conjugation, or S
+    would not fit in int64.
+
+    One conjugation of g by all of G gives, for every a in C, the count
+    tau[a, j] = #{h in C_j : h g h^-1 = a}, the centraliser Z(g) (the h with
+    h g h^-1 = g) and, for each orbit, c_s, the first h with h g h^-1 = x_s.
+    As h runs over C_j so does c_s^-1 h c_s, which takes x_s to b exactly when
+    it takes g to c_s^-1 b c_s, so A_j[s, t] = sum over b in O_t of
+    tau[c_s^-1 b c_s, j]: r * |C| conjugates, not r * |G|.
+    """
+    G, C, M = K.group, K.conj_class, K.matrix.data
+    members = np.flatnonzero(G.class_map == G.class_index_of(C.representative))
+    if not np.array_equal(G.arr[members], C.arr):
+        return None
+    in_C = np.full(G.order, -1, dtype=np.intp)
+    in_C[members] = np.arange(C.size)
+    # everything below rests on K commuting with conjugation, compared a block
+    # of rows at a time
+    gens = np.array([h.images for h in G.generators], dtype=C.arr.dtype).reshape(-1, G.degree)
+    step = max(1, _BLOCK_ENTRIES // C.size)
+    for perm in in_C[G.locator.conjugates(C.arr, gens)].T:
+        for i in range(0, C.size, step):
+            if not np.array_equal(M[perm[i:i + step]].take(perm, axis=1), M[i:i + step]):
+                return None
+    if C.size ** 2 * max(int(M.max()), -int(M.min())) >= 1 << 62:
+        return None  # S would not fit in int64
+
+    # the Z(g)-orbits, each labelled by its first member, and S on them
+    image = in_C[G.locator.conjugates(C.arr[:1], G.arr)[0]]  # h -> h g h^-1, in C
+    Z = G.arr[image == 0]
+    first, orbit_of, w = np.unique(in_C[G.locator.conjugates(C.arr, Z)].min(axis=1),
+                                   return_inverse=True, return_counts=True)
+    orbit_of, r = orbit_of.ravel(), len(first)
+    by_orbit = np.argsort(orbit_of, kind="stable")
+    starts = np.searchsorted(orbit_of[by_orbit], np.arange(r))
+    S = w[:, None] * np.add.reduceat(M[first][:, by_orbit], starts, axis=1)
+    if not np.array_equal(S, S.T):
+        return None
+
+    k = len(G.classes())
+    tau = np.bincount(image * k + G.class_map, minlength=C.size * k).reshape(C.size, k)
+    c = G.arr[np.unique(image, return_index=True)[1][first]]
+    # row b (the members in orbit order) and column s: c_s^-1 b c_s, in C
+    moved = in_C[G.locator.conjugates(C.arr[by_orbit], np.argsort(c, axis=1).astype(c.dtype))]
+    A = np.empty((k, r, r), dtype=np.int64)
+    for j in range(k):
+        A[j] = np.add.reduceat(tau[:, j][moved], starts, axis=0).T
+    return _OrbitalData(first, w, S, A)
 
 
 def _orbital_signature(K: KillingForm, seed: int = 0) -> Signature | None:
@@ -309,9 +367,9 @@ def _orbital_signature(K: KillingForm, seed: int = 0) -> Signature | None:
     dimensions, where K's form is S = diag(w) L, L[s,t] = sum over b in O_t
     of K[x_s, b], with inertia sum_i m_i * inertia(B_i).  A rational central
     idempotent e_O (characters.rational_idempotents) acts on the fixed
-    vectors as E_O = (d/|G|) N_O, N_O[s,t] = sum over h with h x_s h^-1 in
-    O_t of u(h) (u is equal on h and h^-1), and on an integer basis P of
-    its image, P^T S P carries
+    vectors as E_O = (d/|G|) N_O, N_O = sum_j u[j] A_j with the class sums
+    A_j of _orbital_data (u is equal on h and h^-1), and on an integer basis
+    P of its image, P^T S P carries
     the O-part scaled by m where K carries it scaled by d.  Each block counts
     with the weight d/m, which is certified rather than read off the table:
     it is a / rho with rho = tr E_O = sum_O m_i^2, a = tr e_O on CC =
@@ -320,40 +378,20 @@ def _orbital_signature(K: KillingForm, seed: int = 0) -> Signature | None:
     """
     from . import characters  # it imports this module
 
-    G, C, M = K.group, K.conj_class, K.matrix.data
+    G, C = K.group, K.conj_class
     idempotents = characters.rational_idempotents(G)
     if idempotents is None:
         return None
-    members = np.flatnonzero(G.class_map == G.class_index_of(C.representative))
-    if not np.array_equal(G.arr[members], C.arr):
+    orbital = _orbital_data(K)
+    if orbital is None:
         return None
-    in_C = np.full(G.order, -1, dtype=np.intp)
-    in_C[members] = np.arange(C.size)
-    # everything below rests on K commuting with conjugation
-    gens = np.array([h.images for h in G.generators], dtype=C.arr.dtype).reshape(-1, G.degree)
-    for perm in in_C[G.locator.conjugates(C.arr, gens)].T:
-        if not np.array_equal(M[np.ix_(perm, perm)], M):
-            return None
-
-    # the Z(g)-orbits, each labelled by its first member, and S on them
-    g = C.arr[0]
-    Z = G.arr[(G.arr[:, g] == g[G.arr]).all(axis=1)]
-    first, orbit_of, w = np.unique(in_C[G.locator.conjugates(C.arr, Z)].min(axis=1),
-                                   return_inverse=True, return_counts=True)
-    orbit_of, r = orbit_of.ravel(), len(first)
-    if C.size ** 2 * int(np.abs(M).max()) >= 1 << 62:
-        return None  # S would not fit in int64
-    by_orbit = np.argsort(orbit_of, kind="stable")
-    starts = np.searchsorted(orbit_of[by_orbit], np.arange(r))
-    S = w[:, None] * np.add.reduceat(M[first][:, by_orbit], starts, axis=1)
-    if not np.array_equal(S, S.T):
-        return None
+    S, r = orbital.S, len(orbital.w)
 
     degrees = [d for d, _ in idempotents]
     U = np.array([u for _, u in idempotents])
     if int(np.abs(U).max()) * G.order * max(degrees) * len(U) >= 1 << 62:
         return None  # the sum of the d N_O would not fit in int64
-    N = _orbital_class_sums(G, C.arr[first], in_C, orbit_of, U)
+    N = np.tensordot(U, orbital.A, axes=1)
     if not np.array_equal(np.tensordot(degrees, N, axes=1), G.order * np.eye(r, dtype=np.int64)):
         return None  # the E_O do not sum to 1
     phi = C.commuting_count(G.class_reps)
@@ -377,25 +415,6 @@ def _orbital_signature(K: KillingForm, seed: int = 0) -> Signature | None:
     return Signature(*total) if sum(total) == C.size else None
 
 
-def _orbital_class_sums(G: Group, X: np.ndarray, in_C: np.ndarray, orbit_of: np.ndarray,
-                        U: np.ndarray) -> np.ndarray:
-    """N[o][s, t] = sum over h in G with h x_s h^-1 in O_t of U[o][class of h],
-    for the rows x_s of X; in_C and orbit_of take a group index to C and C to
-    its orbit.  The conjugates are located a block of one class at a time."""
-    r = len(X)
-    N = np.zeros((len(U), r * r), dtype=np.int64)
-    cell = np.arange(r)[:, None] * r
-    step = max(1, _CONJUGATE_ENTRIES // r)
-    for j in range(len(G.classes())):
-        H = G.arr[G.class_map == j]
-        counts = np.zeros(r * r, dtype=np.int64)
-        for h0 in range(0, len(H), step):
-            t = orbit_of[in_C[G.locator.conjugates(X, H[h0:h0 + step])]]
-            counts += np.bincount((cell + t).ravel(), minlength=r * r)
-        N += np.outer(U[:, j], counts)
-    return N.reshape(len(U), r, r)
-
-
 def _image_basis(N: np.ndarray, rank: int, rng: random.Random) -> np.ndarray | None:
     """rank columns of N that span its image, each divided by its content;
     None if their rank mod eight 22-bit primes all falls short.
@@ -416,7 +435,7 @@ def _image_basis(N: np.ndarray, rank: int, rng: random.Random) -> np.ndarray | N
         R -= np.outer(q, q @ R)
     P = N[:, picked]
     for _ in range(8):
-        if _eliminate(P, random_prime_22(rng))[0] == rank:
+        if len(_echelon(P, random_prime_22(rng))[1]) == rank:
             return P // np.gcd.reduce(P, axis=0)
     return None
 

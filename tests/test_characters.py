@@ -3,10 +3,13 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from decomposition_oracle import dense_decomposition
 from golden_survey import GROUP_SPECS
-from killform import characters
+from group_strategies import permutation_groups_up_to_degree_8
+from killform import characters, killing
+from killform.cli import main
 
 from killform.characters import (
     CharTable,
@@ -26,6 +29,7 @@ from killform.characters import (
 )
 from killform.errors import (
     CapExceeded,
+    KillformError,
     NoSuitablePrime,
     NontrivialCentre,
     NotACharacter,
@@ -33,6 +37,7 @@ from killform.errors import (
     ProjectorMismatch,
 )
 from killform.groups import (
+    BaseLocator,
     alternating_group,
     build_named_group,
     generate_group,
@@ -307,6 +312,89 @@ def test_projector_mismatch_on_wrong_table():
                     provenance="tampered")
     with pytest.raises(ProjectorMismatch):
         eigenspace_decomposition(K, bad)
+
+
+# ------------------------------------- decomposition on the Z(g)-orbits of C
+
+ORACLE_SPECS = ["S3", "S4", "S5", "S6", "A4", "A5", "A6", "A7",
+                "PSL(2,7)", "PSL(2,8)", "PSL(2,11)", "PSL(2,13)", GROUP_SPECS["M11"]]
+
+
+def _assert_matches_the_oracle(D, want):
+    assert [(e.dim, e.mults, e.integral) for e in D.entries] == \
+        [(e.dim, e.mults, e.integral) for e in want.entries]
+    for e, o in zip(D.entries, want.entries):
+        assert e.value == pytest.approx(o.value, rel=1e-8, abs=1e-8)
+        assert e.certified <= e.integral
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_orbital_decomposition_matches_the_dense_oracle(spec):
+    G = build_named_group(spec)
+    T = character_table(G)
+    for C in G.classes()[1:]:
+        K = killing_matrix(G, C)
+        D = eigenspace_decomposition(K, T)
+        _assert_matches_the_oracle(D, dense_decomposition(K, T))
+        # M11 5A near -1535: the float flag (1e-6 relative) says integral, but
+        # S + 1535 W is nonsingular; the eigenvalue is -1534.998938...
+        wrong = [-1535] if (spec, C.label) == (GROUP_SPECS["M11"], "5A") else []
+        assert [round(e.value) for e in D.entries if e.integral and not e.certified] == wrong
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(permutation_groups_up_to_degree_8())
+def test_orbital_decomposition_on_random_groups(G):
+    try:
+        T = character_table(G)
+    except KillformError:
+        assume(False)
+    for C in G.classes()[1:]:
+        K = killing_matrix(G, C)
+        _assert_matches_the_oracle(eigenspace_decomposition(K, T), dense_decomposition(K, T))
+
+
+def test_decompose_m11_5a_solves_no_class_sized_eigenproblem(monkeypatch, capsys):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    assert main(["decompose", GROUP_SPECS["M11"], "5A"]) == 0
+    assert sizes and max(sizes) < 1584  # |5A| = 1584; the orbital problem has 320 rows
+    # the uncertified row keeps its float flag in the report, with a warning beside it
+    out, err = capsys.readouterr()
+    assert "| 5A | -1535 | 55 | 55 | true |" in out
+    assert err == ("warning: 5A eigenvalue -1534.998938 is flagged integral, "
+                   "but -1535 is not an eigenvalue (exact rank)\n")
+
+
+def test_an_integral_nullity_other_than_the_cluster_size_is_a_mismatch():
+    G = alternating_group(5)
+    orbital = killing._orbital_data(killing_matrix(G, class_by_label(G, "2A")))
+    S, w = orbital.S, orbital.w
+    # 2A: 21 on 1 + 4 and 12 on 5 + 5; the fixed vectors meet them in 1 + 1 and 2 + 2
+    assert characters._integral_certified(S, w, 12, 4)
+    assert not characters._integral_certified(S, w, 13, 4)  # 13 is no eigenvalue
+    with pytest.raises(ProjectorMismatch):
+        characters._integral_certified(S, w, 12, 3)
+
+
+def test_class_structure_constants_are_computed_once_per_group(monkeypatch):
+    G = alternating_group(6)  # a fresh group: the constants are kept per group
+    calls = []
+    product_indices = BaseLocator.product_indices
+
+    def counting(self, A, B):
+        calls.append(len(A))
+        return product_indices(self, A, B)
+
+    monkeypatch.setattr(BaseLocator, "product_indices", counting)
+    assert characters.rational_idempotents(G) is not None  # the table, then the e^2 = e check
+    assert calls == [c.size for c in G.classes()]
 
 
 # ----------------------------------------------------------- central character

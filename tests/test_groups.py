@@ -414,6 +414,17 @@ def test_classes_build_one_perm_per_class(count_perms):
     assert count_perms(g.classes) < g.order / 10
 
 
+def test_classes_locate_no_conjugate_rows(monkeypatch):
+    # the conjugation permutations come from the base images of the conjugates
+    g = psl2(13)
+    g.locator  # built before counting
+    located = []
+    locate = groups.BaseLocator.locate
+    monkeypatch.setattr(groups.BaseLocator, "locate",
+                        lambda self, X: located.append(len(X)) or locate(self, X))
+    assert len(g.classes()) == 9 and located == []
+
+
 def test_class_generates_s3():
     s3 = symmetric_group(3)
     two, three = (next(c for c in s3.classes() if c.element_order == k) for k in (2, 3))

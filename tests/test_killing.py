@@ -5,8 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from group_strategies import permutation_groups_up_to_degree_8
 from killform import characters, exactlinalg, killing
 from killform.characters import (CharTable, ClassFunction, character_table, multiplicities,
                                  roth_check)
@@ -15,6 +16,7 @@ from killform.errors import (
     CapExceeded,
     ElementNotInGroup,
     NotCentral,
+    ProjectorMismatch,
     RowSumMismatch,
     SingularMatrix,
     ZeroMultiplicity,
@@ -47,6 +49,7 @@ from killform.killing import (
 from killform.perms import Perm
 
 PSU33 = Path(__file__).resolve().parent.parent / "data" / "psu33.grp"
+M11 = PSU33.with_name("m11.grp")
 
 
 def class_by_label(G, label):
@@ -269,22 +272,39 @@ def test_orbital_signature_matches_the_matrix(spec):
         assert killing._orbital_signature(K) == signature(K.matrix), (spec, C.label)
 
 
-@st.composite
-def permutation_groups_up_to_degree_8(draw):
-    degree = draw(st.integers(2, 8))
-    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
-    try:
-        return generate_group([Perm(g) for g in gens], degree=degree, cap=3000)
-    except CapExceeded:
-        assume(False)
-
-
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(permutation_groups_up_to_degree_8())
 def test_orbital_signature_on_random_groups(G):
     for C in G.classes()[1:]:
         K = killing_matrix(G, C)
         assert killing._orbital_signature(K) == signature(K.matrix), C.label
+
+
+def _orbital_data_bruteforce(G, C):
+    """The Z(g)-orbits of C and A_j[s, t] = #{h in C_j : h x_s h^-1 in O_t},
+    from the centraliser and all r * |G| conjugates h x_s h^-1."""
+    g = C.arr[0]
+    Z = G.arr[(G.arr[:, g] == g[G.arr]).all(axis=1)]
+    in_C = np.full(G.order, -1, dtype=np.intp)
+    in_C[G.locator.locate(C.arr)] = np.arange(C.size)
+    label = in_C[G.locator.conjugates(C.arr, Z)].min(axis=1)  # each orbit's first member
+    first, w = np.unique(label, return_counts=True)
+    r, k = len(first), len(G.classes())
+    orbit = np.searchsorted(first, label)[in_C[G.locator.conjugates(C.arr[first], G.arr)]]
+    A = np.zeros((k, r, r), dtype=np.int64)
+    for s in range(r):
+        np.add.at(A, (G.class_map, s, orbit[s]), 1)
+    return first, w, A
+
+
+@pytest.mark.parametrize("spec", ["S5", "A7", "PSL(2,13)", f"file:{PSU33}", f"file:{M11}"])
+def test_orbital_class_sums_match_the_bruteforce(spec):
+    G = build_named_group(spec)
+    for C in G.classes()[1:]:
+        orbital = killing._orbital_data(killing_matrix(G, C))
+        first, w, A = _orbital_data_bruteforce(G, C)
+        assert np.array_equal(orbital.first, first) and np.array_equal(orbital.w, w)
+        assert np.array_equal(orbital.A, A), (spec, C.label)
 
 
 def test_survey_of_psu33_passes_no_class_sized_matrix(monkeypatch):
@@ -356,6 +376,8 @@ def test_orbital_route_needs_a_form_that_commutes_with_conjugation():
     tampered = KillingForm(exactlinalg.IntSymMatrix(data), K.basis_arr, group=G,
                            conj_class=K.conj_class)
     assert killing._orbital_signature(tampered) is None
+    with pytest.raises(ProjectorMismatch):
+        characters.eigenspace_decomposition(tampered, character_table(G))
 
 
 # ------------------------------------------------------------------ A5 analyses
