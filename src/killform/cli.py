@@ -317,6 +317,17 @@ def cmd_spectrogram(group_spec: str, cap: int = DEFAULT_ELEMENT_CAP,
 
 # ----------------------------------------------------------------- arg plumbing
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1, so that bad input exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="killform",
@@ -326,14 +337,14 @@ def _parser() -> argparse.ArgumentParser:
     def common(sp, with_jobs=True):
         sp.add_argument("group", help='group spec: S5, A6, PSL(2,7), PSL(3,3), file:PATH')
         sp.add_argument("--format", "-f", choices=("csv", "json", "md"), default="md")
-        sp.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
+        sp.add_argument("--cap", type=_positive_int, default=DEFAULT_ELEMENT_CAP,
                         help="element cap for group enumeration")
-        sp.add_argument("--matrix-cap", type=int, default=MATRIX_CAP,
+        sp.add_argument("--matrix-cap", type=_positive_int, default=MATRIX_CAP,
                         help="dimension cap for class matrices")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for randomized rank certificates (recorded in the header)")
         if with_jobs:
-            sp.add_argument("--jobs", type=int, default=1, help="parallel class workers")
+            sp.add_argument("--jobs", type=_positive_int, default=1, help="parallel class workers")
 
     sp = sub.add_parser("survey", help="per-class analysis table")
     common(sp)

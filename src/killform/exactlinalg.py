@@ -48,6 +48,10 @@ class IntSymMatrix:
     def __repr__(self) -> str:
         return f"IntSymMatrix(dim={self.dim})"
 
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """The rows idx, as one array."""
+        return self.data[idx]
+
     def dump(self) -> str:
         lines = [f"dim {self.dim}"]
         for row in self.data:

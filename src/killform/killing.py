@@ -6,13 +6,17 @@ evaluated once per class of G; the universal form takes phi = |Z| - 1.  The
 brute-force double loop over |Z(ab) ∩ C| exists only as a test oracle
 (killing_matrix_bruteforce).
 
-The signature of a class form is decided on the orbits of the centraliser
-Z(g) on C, one block per rational central idempotent of QG, on matrices of
-total size r = sum of m_i^2 instead of |C| (_orbital_signature), from the
-orbital form and class sums that the eigenspace decomposition shares
-(_orbital_data); the universal form's comes in closed form from Roth's
-property (_universal_signature).  The dense matrix `signature` decides the rest and
-stays the test oracle.
+A form is formed lazily (_FormMatrix): its dimension is known at once, the
+rows a caller asks for are formed on request, and the dense matrix only on
+the first read of `.data`.  A class form with its group is read on the r
+rows at the first members x_s of the orbits of the centraliser Z(g) on C,
+r * |C| entries instead of |C|^2 (_orbital_data): lambda_max, the component
+count, the signature and the eigenspace decomposition all come from them.
+The signature is decided one block per rational central idempotent of QG, on
+matrices of total size r = sum of m_i^2 (_orbital_signature).  A universal
+form is one component, and its signature comes in closed form from Roth's
+property (_universal_signature).  The dense matrix, with `signature` and
+`connected_components`, decides the rest and stays the test oracle.
 """
 from __future__ import annotations
 
@@ -143,16 +147,28 @@ class KillingForm:
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _form_matrix(basis_arr: np.ndarray, phi_block) -> IntSymMatrix:
-    """K[a][b] = phi(ab) over the basis rows, filled in blocks of rows of about
-    _BLOCK_ENTRIES entries; phi_block maps a block of basis rows a to the values
-    phi(ab), b over the basis, of a class function."""
-    m = len(basis_arr)
-    K = np.empty((m, m), dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // m)
-    for i in range(0, m, step):
-        K[i:i + step] = phi_block(basis_arr[i:i + step])
-    return IntSymMatrix(K)
+class _FormMatrix(IntSymMatrix):
+    """K[a][b] = phi(ab) over the basis rows, formed only where it is read:
+    `rows` forms the rows asked for, and `data`, the whole matrix, is formed and
+    checked on first read; `dim` costs nothing.  phi_block maps a block of basis
+    rows a to the values phi(ab), b over the basis, of a class function."""
+
+    def __init__(self, basis_arr: np.ndarray, phi_block):
+        self.basis_arr = basis_arr
+        self.phi_block = phi_block
+        self.dim = len(basis_arr)
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """The rows idx, formed in blocks of about _BLOCK_ENTRIES entries."""
+        out = np.empty((len(idx), self.dim), dtype=np.int64)
+        step = max(1, _BLOCK_ENTRIES // self.dim)
+        for i in range(0, len(idx), step):
+            out[i:i + step] = self.phi_block(self.basis_arr[idx[i:i + step]])
+        return out
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        return IntSymMatrix(self.rows(np.arange(self.dim))).data
 
 
 def _class_function(G: Group, per_class, basis_arr: np.ndarray):
@@ -219,7 +235,7 @@ def killing_matrix(G: Group | None, C: ConjClass, cap: int = MATRIX_CAP) -> Kill
         if (in_class != in_class[0]).any() or C.size != G.classes()[in_class[0]].size:
             raise ValueError(f"{C!r} is not a conjugacy class of {G.name}")
         phi = _class_function(G, C.commuting_count(G.class_reps), C.arr)
-    return KillingForm(_form_matrix(C.arr, phi), C.arr, group=G, conj_class=C)
+    return KillingForm(_FormMatrix(C.arr, phi), C.arr, group=G, conj_class=C)
 
 
 def killing_matrix_bruteforce(C: ConjClass) -> IntSymMatrix:
@@ -240,7 +256,7 @@ def universal_killing(G: Group, cap: int = MATRIX_CAP, include_identity: bool = 
     if m > cap:
         raise CapExceeded(f"universal basis size {m} exceeds matrix cap {cap}")
     phi = _class_function(G, [G.order // cl.size - 1 for cl in G.classes()], basis_arr)
-    return KillingForm(_form_matrix(basis_arr, phi), basis_arr, group=G, universal=True,
+    return KillingForm(_FormMatrix(basis_arr, phi), basis_arr, group=G, universal=True,
                        includes_identity=include_identity)
 
 
@@ -293,19 +309,32 @@ def _universal_signature(K: KillingForm, seed: int = 0) -> Signature | None:
     return Signature((G.order + t) // 2 - (not K.includes_identity), (G.order - t) // 2, 0)
 
 
-@dataclass
 class _OrbitalData:
-    """A class form on the Z(g)-orbits O_1..O_r of C, g = x_1 the representative."""
-    first: np.ndarray  # the index in C of each orbit's first member x_s
-    w: np.ndarray      # the orbit sizes w_s
-    S: np.ndarray      # diag(w) L, L[s,t] = sum over b in O_t of K[x_s, b]
-    A: np.ndarray      # A[j][s, t] = #{h in C_j : h x_s h^-1 in O_t}, one r x r per class
+    """A class form on the Z(g)-orbits O_1..O_r of C, g = x_1 the representative:
+    first, the index in C of each orbit's first member x_s; w, the orbit sizes
+    w_s; S = diag(w) L, L[s,t] = sum over b in O_t of K[x_s, b]; and the class
+    sums A[j][s, t] = #{h in C_j : h x_s h^-1 in O_t}, one r x r per class,
+    formed on first read."""
+
+    def __init__(self, first: np.ndarray, w: np.ndarray, S: np.ndarray, class_sums):
+        self.first, self.w, self.S = first, w, S
+        self._class_sums = class_sums
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return self._class_sums()
 
 
 def _orbital_data(K: KillingForm) -> _OrbitalData | None:
     """The orbital form and class sums of a class form with its group; None
     where C is not a class of G, K does not commute with conjugation, or S
     would not fit in int64.
+
+    Only the r rows of K at the x_s are read, r * |C| entries.  A form built
+    from phi (killing_matrix) commutes with conjugation by construction:
+    K[a][b] = phi(ab), and phi is read per class of G through class_map, so
+    K[hah^-1][hbh^-1] = phi(h ab h^-1) = K[a][b].  A matrix handed in is
+    compared with its conjugates under the generators of G first.
 
     One conjugation of g by all of G gives, for every a in C, the count
     tau[a, j] = #{h in C_j : h g h^-1 = a}, the centraliser Z(g) (the h with
@@ -314,22 +343,22 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
     it takes g to c_s^-1 b c_s, so A_j[s, t] = sum over b in O_t of
     tau[c_s^-1 b c_s, j]: r * |C| conjugates, not r * |G|.
     """
-    G, C, M = K.group, K.conj_class, K.matrix.data
+    G, C = K.group, K.conj_class
     members = np.flatnonzero(G.class_map == G.class_index_of(C.representative))
     if not np.array_equal(G.arr[members], C.arr):
         return None
     in_C = np.full(G.order, -1, dtype=np.intp)
     in_C[members] = np.arange(C.size)
-    # everything below rests on K commuting with conjugation, compared a block
-    # of rows at a time
-    gens = np.array([h.images for h in G.generators], dtype=C.arr.dtype).reshape(-1, G.degree)
-    step = max(1, _BLOCK_ENTRIES // C.size)
-    for perm in in_C[G.locator.conjugates(C.arr, gens)].T:
-        for i in range(0, C.size, step):
-            if not np.array_equal(M[perm[i:i + step]].take(perm, axis=1), M[i:i + step]):
-                return None
-    if C.size ** 2 * max(int(M.max()), -int(M.min())) >= 1 << 62:
-        return None  # S would not fit in int64
+    if not isinstance(K.matrix, _FormMatrix):
+        # everything below rests on K commuting with conjugation, compared a
+        # block of rows at a time
+        M = K.matrix.data
+        gens = np.array([h.images for h in G.generators], dtype=C.arr.dtype).reshape(-1, G.degree)
+        step = max(1, _BLOCK_ENTRIES // C.size)
+        for perm in in_C[G.locator.conjugates(C.arr, gens)].T:
+            for i in range(0, C.size, step):
+                if not np.array_equal(M[perm[i:i + step]].take(perm, axis=1), M[i:i + step]):
+                    return None
 
     # the Z(g)-orbits, each labelled by its first member, and S on them
     image = in_C[G.locator.conjugates(C.arr[:1], G.arr)[0]]  # h -> h g h^-1, in C
@@ -339,25 +368,33 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
     orbit_of, r = orbit_of.ravel(), len(first)
     by_orbit = np.argsort(orbit_of, kind="stable")
     starts = np.searchsorted(orbit_of[by_orbit], np.arange(r))
-    S = w[:, None] * np.add.reduceat(M[first][:, by_orbit], starts, axis=1)
+    rows = K.matrix.rows(first)
+    # every row of K is a permutation of g's, the first of these
+    if C.size ** 2 * max(int(rows.max()), -int(rows.min())) >= 1 << 62:
+        return None  # S would not fit in int64
+    S = w[:, None] * np.add.reduceat(rows[:, by_orbit], starts, axis=1)
     if not np.array_equal(S, S.T):
         return None
 
-    k = len(G.classes())
-    tau = np.bincount(image * k + G.class_map, minlength=C.size * k).reshape(C.size, k)
-    c = G.arr[np.unique(image, return_index=True)[1][first]]
-    # row b (the members in orbit order) and column s: c_s^-1 b c_s, in C
-    moved = in_C[G.locator.conjugates(C.arr[by_orbit], np.argsort(c, axis=1).astype(c.dtype))]
-    A = np.empty((k, r, r), dtype=np.int64)
-    for j in range(k):
-        A[j] = np.add.reduceat(tau[:, j][moved], starts, axis=0).T
-    return _OrbitalData(first, w, S, A)
+    def class_sums() -> np.ndarray:
+        k = len(G.classes())
+        tau = np.bincount(image * k + G.class_map, minlength=C.size * k).reshape(C.size, k)
+        c = G.arr[np.unique(image, return_index=True)[1][first]]
+        # row b (the members in orbit order) and column s: c_s^-1 b c_s, in C
+        moved = in_C[G.locator.conjugates(C.arr[by_orbit], np.argsort(c, axis=1).astype(c.dtype))]
+        A = np.empty((k, r, r), dtype=np.int64)
+        for j in range(k):
+            A[j] = np.add.reduceat(tau[:, j][moved], starts, axis=0).T
+        return A
+
+    return _OrbitalData(first, w, S, class_sums)
 
 
-def _orbital_signature(K: KillingForm, seed: int = 0) -> Signature | None:
+def _orbital_signature(K: KillingForm, seed: int = 0,
+                       orbital: _OrbitalData | None = None) -> Signature | None:
     """The signature of a class form, decided on the Z(g)-orbits of C, g the
-    representative; None where the group has no certified idempotents or an
-    exact check fails.
+    representative, from its orbital data (formed here when not given); None
+    where the group has no certified idempotents or an exact check fails.
 
     K commutes with conjugation, so on the isotypic part of the i-th irrep
     (degree d_i, multiplicity m_i in CC) it acts as B_i (x) I_{d_i} for an
@@ -382,7 +419,8 @@ def _orbital_signature(K: KillingForm, seed: int = 0) -> Signature | None:
     idempotents = characters.rational_idempotents(G)
     if idempotents is None:
         return None
-    orbital = _orbital_data(K)
+    if orbital is None:
+        orbital = _orbital_data(K)
     if orbital is None:
         return None
     S, r = orbital.S, len(orbital.w)
@@ -443,6 +481,16 @@ def _image_basis(N: np.ndarray, rank: int, rng: random.Random) -> np.ndarray | N
 def analyze(K: KillingForm, seed: int = 0) -> KillingForm:
     """Fill the analysis bundle: lambda_max, components, signature, chi.
 
+    A class form built by killing_matrix with its group is read only on the
+    r rows of its orbital data (_orbital_data): lambda_max is the row sum
+    sum_t L[0, t] at g, and since K >= 0 commutes with conjugation, the
+    component of g is the union of the orbits that a search on the orbit
+    graph (O_s ~ O_t iff L[s, t] != 0) reaches from O_1 = {g}, and G permutes
+    the components transitively, so there are |C| / (sum of the reached w_t)
+    of them.  A universal form has K[a][b] = |Z(ab)| - 1 >= 1 for |G| >= 2,
+    so it is one component.  Every other form is read whole: its row sums
+    (RowSumMismatch unless constant) and `connected_components`.
+
     The signature is decided by the first route that applies:
     - a universal form, when Roth's property holds: in closed form
       (_universal_signature);
@@ -454,28 +502,40 @@ def analyze(K: KillingForm, seed: int = 0) -> KillingForm:
       the whole matrix.
     """
     M = K.matrix
-    lam = chi = real = None
+    formed = isinstance(M, _FormMatrix)
+    lam = chi = real = orbital = comps = None
     if K.is_class_calculus:
-        sums = M.data.sum(axis=1)
-        if not np.all(sums == sums[0]):
-            raise RowSumMismatch(
-                f"row sums of {K!r} are not constant: {sorted(set(int(s) for s in sums))[:4]}"
-            )
-        lam = int(sums[0])
-        chi = int(K.conj_class.commuting_count(K.conj_class.arr[:1])[0])
-        real = K.conj_class.is_real
-    comps = connected_components(M)
+        C = K.conj_class
+        if K.group is not None:
+            orbital = _orbital_data(K)
+        if formed and orbital is not None:
+            lam = int(orbital.S[0].sum())  # w_1 = 1
+            reached = connected_components(IntSymMatrix(orbital.S))[0]
+            comps = C.size // int(orbital.w[reached].sum())
+        else:
+            sums = M.data.sum(axis=1)
+            if not np.all(sums == sums[0]):
+                raise RowSumMismatch(
+                    f"row sums of {K!r} are not constant: {sorted(set(int(s) for s in sums))[:4]}"
+                )
+            lam = int(sums[0])
+        chi = int(C.commuting_count(C.arr[:1])[0])
+        real = C.is_real
+    elif K.universal and formed:
+        comps = 1
+    if comps is None:
+        comps = len(connected_components(M))
     sig = None
     if K.universal:
         sig = _universal_signature(K, seed=seed)
-    elif K.is_class_calculus and K.group is not None:
-        sig = _orbital_signature(K, seed=seed)
+    elif orbital is not None:
+        sig = _orbital_signature(K, seed=seed, orbital=orbital)
     if sig is None:
         sig = signature(M, seed=seed)
     K.analysis = KillingAnalysis(
         is_real=real,
         lambda_max=lam,
-        component_count=len(comps),
+        component_count=comps,
         signature=sig,
         nondegenerate=sig.zero == 0,
         chi_on_class=chi,

@@ -1,8 +1,9 @@
 """Shared fixtures: survey reports are expensive, so cache them per session."""
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import pytest
 
+from killform import killing
 from killform.cli import cmd_survey
 from killform.perms import Perm
 
@@ -36,6 +37,17 @@ def count_perms(monkeypatch):
             fn()
         return n
     return count
+
+
+@pytest.fixture
+def dense_fills(monkeypatch):
+    """The dims of the lazy forms whose dense matrix is filled during the test."""
+    dims = []
+    fill = killing._FormMatrix.data.func
+    recording = cached_property(lambda M: dims.append(M.dim) or fill(M))
+    recording.__set_name__(killing._FormMatrix, "data")
+    monkeypatch.setattr(killing._FormMatrix, "data", recording)
+    return dims
 
 
 @lru_cache(maxsize=None)

@@ -369,3 +369,19 @@ def test_decompose_builds_few_perms(count_perms, capsys):
     codes = []
     built = count_perms(lambda: codes.append(main(["decompose", "file:data/m11.grp", "5A"])))
     assert codes == [0] and built < 7920 / 10
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--cap", "--matrix-cap"])
+@pytest.mark.parametrize("value", ["0", "-3", "-1", "two"])
+def test_main_rejects_a_count_below_one(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "A5", flag, value])
+    assert exc.value.code == 2
+    assert f"expected a positive integer, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["decompose", "A5", "2A"], ["spectrogram", "A5"]])
+def test_main_rejects_a_matrix_cap_below_one_on_every_command(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--matrix-cap", "0"])
+    assert exc.value.code == 2

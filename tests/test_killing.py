@@ -351,7 +351,8 @@ def test_a_perturbed_table_fails_the_checks_and_falls_back(spec, perturb, monkey
         assert analyze(K).analysis.signature == signature(K.matrix)
 
 
-def test_more_classes_than_the_table_cap_survey_through_the_matrix(tmp_path, monkeypatch):
+def test_more_classes_than_the_table_cap_survey_through_the_matrix(tmp_path, monkeypatch,
+                                                                   dense_fills):
     # (Z2)^7 has 128 classes; the table is tried once and the dense path decides
     path = tmp_path / "z2_7.grp"
     path.write_text("name (Z2)^7\ndegree 14\n"
@@ -362,7 +363,7 @@ def test_more_classes_than_the_table_cap_survey_through_the_matrix(tmp_path, mon
                         lambda G, cap=characters.CLASS_CAP: tried.append(G) or exact(G, cap))
     report = cmd_survey(f"file:{path}")
     assert report.exit_code == 0 and len(tried) == 1
-    assert len(report.rows) == 127
+    assert len(report.rows) == 127 and dense_fills == [1] * 127
     for row in report.rows:
         assert row[1:] == ["1", "1", "true", "true", "1", "1", "1", "0", "0", "true"]
 
@@ -378,6 +379,89 @@ def test_orbital_route_needs_a_form_that_commutes_with_conjugation():
     assert killing._orbital_signature(tampered) is None
     with pytest.raises(ProjectorMismatch):
         characters.eigenspace_decomposition(tampered, character_table(G))
+
+
+# ------------------------------------------ lazy forms, read on the orbit rows
+
+@pytest.mark.parametrize("spec", ORBITAL_SPECS)
+def test_orbital_lambda_and_components_match_the_matrix(spec, dense_fills):
+    G = build_named_group(spec)
+    for C in G.classes()[1:]:
+        K = killing_matrix(G, C)
+        a = analyze(K).analysis
+        assert dense_fills == [], (spec, C.label)
+        assert a.lambda_max == K.matrix.data.sum(axis=1)[0], (spec, C.label)
+        assert a.component_count == len(connected_components(K.matrix)), (spec, C.label)
+        dense_fills.clear()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(permutation_groups_up_to_degree_8())
+def test_orbital_lambda_and_components_on_random_groups(G):
+    for C in G.classes()[1:]:
+        K = killing_matrix(G, C)
+        a = analyze(K).analysis
+        assert a.lambda_max == K.matrix.data.sum(axis=1)[0], C.label
+        assert a.component_count == len(connected_components(K.matrix)), C.label
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5", "PSL(2,7)"])
+def test_rows_of_a_lazy_form_equal_the_dense_rows(spec, monkeypatch):
+    monkeypatch.setattr(killing, "_BLOCK_ENTRIES", 100)  # a block of one or a few rows
+    G = build_named_group(spec)
+    forms = [killing_matrix(G, C) for C in G.classes()[1:]]
+    forms += [universal_killing(G), universal_killing(G, include_identity=True)]
+    if spec == "S4":
+        forms += [killing_matrix(None, C) for C in symmetric_group(4).classes()[1:]]
+    rng = np.random.default_rng(0)
+    for K in forms:
+        n = K.matrix.dim
+        idx = rng.choice(n, size=min(n, 9), replace=False)
+        rows, every = K.matrix.rows(idx), K.matrix.rows(np.arange(n))
+        assert "data" not in vars(K.matrix)
+        assert np.array_equal(rows, K.matrix.data[idx]), K
+        assert np.array_equal(every, K.matrix.data), K
+        assert np.array_equal(exactlinalg.IntSymMatrix(every).rows(idx), rows)
+
+
+def test_dim_and_repr_fill_nothing(dense_fills):
+    G = alternating_group(5)
+    K, U = killing_matrix(G, class_by_label(G, "3A")), universal_killing(G)
+    assert (K.matrix.dim, U.matrix.dim) == (20, 59)
+    assert (repr(K), repr(U)) == ("KillingForm(3A, dim=20)", "KillingForm(universal, dim=59)")
+    assert repr(K.matrix) == "IntSymMatrix(dim=20)"
+    assert dense_fills == []
+
+
+@pytest.mark.parametrize("spec", ["A5", "PSL(2,7)"])
+def test_universal_analyze_of_a_roth_group_fills_no_dense_form(spec, dense_fills):
+    a = analyze(universal_killing(build_named_group(spec))).analysis
+    assert a.component_count == 1 and a.nondegenerate
+    assert dense_fills == []
+
+
+@pytest.mark.parametrize("name", sorted(NON_ROTH_GENERATORS))
+def test_universal_analyze_without_roth_fills_the_dense_form(name, dense_fills):
+    K = analyze(universal_killing(non_roth_group(name)))
+    assert dense_fills == [K.matrix.dim]
+
+
+def test_universal_form_of_psu33_goes_to_the_matrix(dense_fills, monkeypatch):
+    # Roth's property fails on PSU(3,3); its 6047-dim dense form would take
+    # 290 MB, so the matrix signature is stubbed and only its call is checked
+    G = build_named_group(f"file:{PSU33}")
+    K = universal_killing(G, cap=G.order)
+    seen = []
+    monkeypatch.setattr(killing, "signature",
+                        lambda M, seed=0: seen.append(M) or exactlinalg.Signature(0, 0, 0))
+    assert analyze(K).analysis.component_count == 1
+    assert seen == [K.matrix] and dense_fills == []
+
+
+def test_a_class_form_without_its_group_fills_the_dense_form(dense_fills):
+    K = analyze(killing_matrix(None, symmetric_class(5, (3, 1, 1))))
+    assert (K.analysis.lambda_max, K.analysis.component_count) == (34, 1)
+    assert dense_fills == [20]
 
 
 # ------------------------------------------------------------------ A5 analyses

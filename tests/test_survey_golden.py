@@ -10,6 +10,7 @@ import pytest
 from golden_survey import (GOLDEN, GROUP_ORDERS, GROUP_SPECS,
                            computed_multiset, expected_multiset)
 from killform import killing
+from killform.cli import cmd_survey
 from killform.groups import build_named_group
 
 
@@ -42,3 +43,9 @@ def test_every_fixture_class_takes_the_orbital_route(name):
     G = build_named_group(GROUP_SPECS[name])
     for C in G.classes()[1:]:
         assert killing._orbital_signature(killing.killing_matrix(G, C)) is not None, C.label
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_survey_fills_no_dense_form(name, dense_fills):
+    assert cmd_survey(GROUP_SPECS[name]).exit_code == 0
+    assert dense_fills == []
