@@ -645,6 +645,11 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
         raise ValueError("decomposition needs a class calculus with its group")
     G = K.group
     C = K.conj_class
+    fits = [f"{c.label}:{c.size}" for c in G.classes()]
+    given = [f"{label}:{size}" for label, size in zip(T.class_labels, T.class_sizes)]
+    if given != fits:
+        raise ValueError(f"character table {T.name} does not fit {G.name}: its classes are "
+                         f"{' '.join(given)}, those of {G.name} are {' '.join(fits)}")
     orbital = _orbital_data(K)
     if orbital is None:
         raise ProjectorMismatch(f"{K!r} has no orbital form: C is not a class of {G.name}, "

@@ -9,9 +9,9 @@ Q).  When the matrix is singular mod p, `_lift_nullspace` CRT-lifts
 nullspaces mod further 22-bit primes (small enough that the float64 panel
 updates stay exact) to rationals, and verifies the lifted basis exactly by one
 matrix product per 31-bit prime; the verified nullity bounds the rank from
-above.  The exact inverse is the same lift applied to [M | I], whose nullspace
-is [-M^-1; I].  Fraction-free Bareiss remains as the rank fallback when the
-lift stalls and as an independent oracle.
+above.  The Casimir solves L y = e_1 by the same lift, applied to
+[L | -e_1] (killing.casimir).  Fraction-free Bareiss remains as the rank
+fallback when the lift stalls and as an independent oracle.
 
 Floating eigenwork goes through LAPACK (numpy.linalg.eigh).
 """
@@ -24,10 +24,9 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .errors import CapExceeded, SeparationFailure, SingularMatrix
+from .errors import CapExceeded, SeparationFailure
 
 EXACT_CAP = 4096
-INVERSE_CAP = 512
 SPECTRUM_TOL = 1e-8
 _LDLT_FALLBACK_CAP = 600
 
@@ -409,7 +408,7 @@ def exact_rank(M: IntSymMatrix, seed: int = 0, cap: int = EXACT_CAP) -> int:
 
 
 # ---------------------------------------------------------------------------
-# signature / spectrum / components / inverse
+# signature / spectrum / components
 
 def _exact_inertia_ldlt(M: IntSymMatrix) -> tuple[int, int, int]:
     """Inertia by exact LDL^T with full symmetric pivoting (1x1 and 2x2 blocks)."""
@@ -550,25 +549,3 @@ def connected_components(M: IntSymMatrix) -> list[list[int]]:
             frontier = A[frontier].any(axis=0) & ~seen
         comps.append(np.flatnonzero(seen & ~before).tolist())
     return comps
-
-
-def exact_inverse(M: IntSymMatrix, cap: int = INVERSE_CAP) -> list[list[Fraction]]:
-    """Exact rational inverse, read off the lifted nullspace of [M | I].
-
-    For nonsingular M the pivots of [M | I] are its first n columns, and the
-    nullspace basis normalised on the free columns is [-M^-1; I]: column j is
-    lifted as d_j * [-M^-1 e_j; e_j] with integer d_j > 0.
-    """
-    n = M.dim
-    if n > cap:
-        raise CapExceeded(f"dim {n} exceeds inverse cap {cap}")
-    r = exact_rank(M)
-    if r < n:
-        raise SingularMatrix(f"rank {r} is below dim {n}")
-    lifted = _lift_nullspace(np.hstack([M.data, np.eye(n, dtype=np.int64)]),
-                             random.Random(0x1A7E))
-    if lifted is None or lifted[1] != list(range(n)):
-        # M is certified nonsingular, so only the 64-prime cap can stop the lift
-        raise CapExceeded(f"the inverse of a dim {n} matrix did not lift within 64 primes")
-    V = lifted[2]
-    return [[Fraction(-V[j][i], V[j][n + j]) for j in range(n)] for i in range(n)]

@@ -11,7 +11,7 @@ rows a caller asks for are formed on request, and the dense matrix only on
 the first read of `.data`.  A class form with its group is read on the r
 rows at the first members x_s of the orbits of the centraliser Z(g) on C,
 r * |C| entries instead of |C|^2 (_orbital_data): lambda_max, the component
-count, the signature and the eigenspace decomposition all come from them.
+count, the signature, the decomposition and the Casimir all come from them.
 The signature is decided one block per rational central idempotent of QG, on
 matrices of total size r = sum of m_i^2 (_orbital_signature).  A universal
 form is one component, and its signature comes in closed form from Roth's
@@ -24,17 +24,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 
 import numpy as np
 
-from .errors import CapExceeded, NotCentral, RowSumMismatch, ZeroMultiplicity
+from .errors import CapExceeded, NotCentral, RowSumMismatch, SingularMatrix, ZeroMultiplicity
 from .exactlinalg import (
     IntSymMatrix,
     Signature,
     _echelon,
+    _lift_nullspace,
     connected_components,
-    exact_inverse,
     exact_rank,
     random_prime_22,
     signature,
@@ -311,13 +310,15 @@ def _universal_signature(K: KillingForm, seed: int = 0) -> Signature | None:
 
 class _OrbitalData:
     """A class form on the Z(g)-orbits O_1..O_r of C, g = x_1 the representative:
-    first, the index in C of each orbit's first member x_s; w, the orbit sizes
-    w_s; S = diag(w) L, L[s,t] = sum over b in O_t of K[x_s, b]; and the class
-    sums A[j][s, t] = #{h in C_j : h x_s h^-1 in O_t}, one r x r per class,
-    formed on first read."""
+    first, the index in C of each orbit's first member x_s; orbit_of, the
+    orbit of each member of C; w, the orbit sizes w_s; S = diag(w) L,
+    L[s,t] = sum over b in O_t of K[x_s, b]; and the class sums
+    A[j][s, t] = #{h in C_j : h x_s h^-1 in O_t}, one r x r per class, formed
+    on first read."""
 
-    def __init__(self, first: np.ndarray, w: np.ndarray, S: np.ndarray, class_sums):
-        self.first, self.w, self.S = first, w, S
+    def __init__(self, first: np.ndarray, orbit_of: np.ndarray, w: np.ndarray,
+                 S: np.ndarray, class_sums):
+        self.first, self.orbit_of, self.w, self.S = first, orbit_of, w, S
         self._class_sums = class_sums
 
     @cached_property
@@ -387,7 +388,7 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
             A[j] = np.add.reduceat(tau[:, j][moved], starts, axis=0).T
         return A
 
-    return _OrbitalData(first, w, S, class_sums)
+    return _OrbitalData(first, orbit_of, w, S, class_sums)
 
 
 def _orbital_signature(K: KillingForm, seed: int = 0,
@@ -595,32 +596,46 @@ class CasimirExpansion:
 
 def casimir(K: KillingForm) -> CasimirExpansion:
     """Quadratic Casimir sum_{a,b} K^{ab} * (a*b) of a nondegenerate class
-    calculus, in the theta basis.
+    calculus, in the theta basis, solved on the Z(g)-orbits of C (_orbital_data).
 
-    The exact inverse (SingularMatrix if the form is degenerate) is written
-    over one common denominator, and its numerators are summed at the group
-    index of each product ab; the sums must be constant on every class of G.
+    K^-1 commutes with conjugation, so K^-1 e_g = sum_t y_t 1_{O_t} with
+    L y = e_1 (O_1 = {g}).  CC = Ind_{Z(g)}^G 1, so by Frobenius reciprocity
+    every irrep in CC has Z(g)-fixed vectors, and K is singular exactly when L
+    is (SingularMatrix).  The first vector v of the verified nullspace of
+    [L | -e_1] has L v[:r] = v_r e_1, so v_r = 0 makes v[:r] a null vector of
+    L.  If L is singular, a column before the last is free, and v, 1 on the
+    first free column and 0 on the others, has v_r = 0: the last column is
+    free, or it is a pivot and e_1 is not in the image of L.  Otherwise
+    y = v[:r] / v_r.  By conjugation, every element of
+    the class C_j has the coefficient (|C| / |C_j|) * sum of y_{orbit(b)} over
+    the b in C with gb in C_j, read from the one row of products g C.
     """
     if not K.is_class_calculus:
         raise ValueError("Casimir is defined for class calculi here")
     if K.group is None:
         raise ValueError("Casimir expansion needs the ambient group")
     G, C = K.group, K.conj_class
-    Kinv = exact_inverse(K.matrix)
-    den = lcm(*(q.denominator for row in Kinv for q in row))
-    num = np.array([[q.numerator * (den // q.denominator) for q in row] for row in Kinv],
-                   dtype=object)
-    sums = np.zeros(G.order, dtype=object)
-    np.add.at(sums, G.locator.product_indices(C.arr, C.arr).ravel(), num.ravel())
+    orbital = _orbital_data(K)
+    if orbital is None:
+        raise NotCentral(f"{K!r} is not a conjugation-invariant form on a class of {G.name}")
+    r = len(orbital.w)
+    L = orbital.S // orbital.w[:, None]
+    e_1 = np.eye(r, 1, dtype=np.int64)
+    lifted = _lift_nullspace(np.hstack([L, -e_1]), random.Random(0x1A7E))
+    if lifted is None:
+        raise CapExceeded(f"the {r} x {r} orbital solve did not lift within 64 primes")
+    v, den = lifted[2][0][:r], lifted[2][0][r]
+    if den == 0:
+        raise SingularMatrix(f"the {r} x {r} orbital form is singular")
+    classes = G.class_map[G.locator.products(C.arr[:1], C.arr)[0]]  # the class of g b
+    counts = np.bincount(classes * r + orbital.orbit_of, minlength=len(G.classes()) * r)
     e_coeff, theta = Fraction(0), {}
-    for ci, cl in enumerate(G.classes()):
-        vals = sorted(Fraction(int(x), den) for x in set(sums[G.class_map == ci]))
-        if len(vals) > 1:
-            raise NotCentral(f"coefficients vary over class {cl.label}: {vals[:3]}")
+    for cl, row in zip(G.classes(), counts.reshape(-1, r).tolist()):
+        q = Fraction(C.size * sum(c * x for c, x in zip(row, v)), cl.size * den)
         if cl.is_trivial():
-            e_coeff = vals[0]
-        elif vals[0]:
-            theta[cl.label] = vals[0]
+            e_coeff = q
+        elif q:
+            theta[cl.label] = q
     return CasimirExpansion(e_coeff=e_coeff, theta_coeffs=theta)
 
 

@@ -314,6 +314,15 @@ def test_projector_mismatch_on_wrong_table():
         eigenspace_decomposition(K, bad)
 
 
+def test_decomposition_rejects_a_table_whose_class_sizes_differ():
+    G = alternating_group(5)
+    T = table(G)
+    sizes = T.class_sizes[:1] + T.class_sizes[:0:-1]  # the same labels, sizes reversed
+    bad = CharTable(T.name, T.class_labels, sizes, T.degrees, T.chars, provenance="tampered")
+    with pytest.raises(ValueError, match="does not fit A5"):
+        eigenspace_decomposition(killing_matrix(G, class_by_label(G, "3A")), bad)
+
+
 # ------------------------------------- decomposition on the Z(g)-orbits of C
 
 ORACLE_SPECS = ["S3", "S4", "S5", "S6", "A4", "A5", "A6", "A7",

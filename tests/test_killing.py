@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from casimir_oracle import dense_casimir
 from group_strategies import permutation_groups_up_to_degree_8
 from killform import characters, exactlinalg, killing
 from killform.characters import (CharTable, ClassFunction, character_table, multiplicities,
                                  roth_check)
-from killform.cli import cmd_survey
+from killform.cli import cmd_survey, main
 from killform.errors import (
     CapExceeded,
     ElementNotInGroup,
@@ -650,8 +651,8 @@ def test_casimir_frozen_expansions(spec, label):
 
 
 def test_casimir_a7_6a_is_central():
-    # dim 210: casimir raises NotCentral unless the coefficients are constant
-    # on every class, and K 1 = lambda 1 makes the sum of all K^{ab} m / lambda
+    # dim 210: the coefficients summed over all of G are sum_{a,b} K^{ab} =
+    # 1^T K^-1 1, and K 1 = lambda 1 makes that |C| / lambda
     G = build_named_group("A7")
     C = class_by_label(G, "6A")
     K = killing_matrix(G, C)
@@ -679,6 +680,44 @@ def test_casimir_not_central_on_fake_class():
     K = KillingForm(IntSymMatrix([[1]]), fake.arr, group=G, conj_class=fake)
     with pytest.raises(NotCentral):  # |Z(c3^2) ∩ {c3}| = 1
         casimir(K)
+
+
+# -------------------------------------------------- the Casimir on the Z(g)-orbits
+
+def _check_casimir_against_the_analysis_and_the_oracle(G, size_cap):
+    for C in G.classes()[1:]:
+        K = killing_matrix(G, C)
+        if not analyze(K).analysis.nondegenerate:
+            with pytest.raises(SingularMatrix):
+                casimir(K)
+        elif C.size <= size_cap:
+            assert casimir(K) == dense_casimir(K), C.label
+        else:
+            casimir(K)
+
+
+@pytest.mark.parametrize("spec", ORBITAL_SPECS)
+def test_casimir_matches_the_dense_oracle_and_the_analysis(spec):
+    _check_casimir_against_the_analysis_and_the_oracle(build_named_group(spec), 128)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(permutation_groups_up_to_degree_8())
+def test_casimir_on_random_groups(G):
+    _check_casimir_against_the_analysis_and_the_oracle(G, 64)
+
+
+def test_casimir_fills_no_dense_form(dense_fills):
+    for spec, label in [("A5", "2A"), ("A7", "6A")]:
+        G = build_named_group(spec)
+        casimir(killing_matrix(G, class_by_label(G, label)))
+    assert dense_fills == []
+
+
+def test_casimir_of_m11_5a(capsys):
+    # |C| = 1584, solved on r = 320 orbits
+    assert main(["casimir", f"file:{M11}", "5A"]) == 0
+    assert "theta[5A]" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------- m vector
