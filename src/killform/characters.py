@@ -58,6 +58,30 @@ class ClassFunction:
         return self.values[j]
 
 
+def _list_of(ok):
+    return lambda xs: type(xs) is list and all(ok(x) for x in xs)
+
+
+def _real(x) -> bool:
+    return type(x) in (int, float) and abs(x) < 1e300  # false on nan and inf
+
+
+def _count(x) -> bool:
+    return type(x) is int and 0 < x < 1 << 62  # far larger ones overflow float64
+
+
+# from_json's field -> (check, what the check asks for)
+_JSON_FIELDS = {
+    "name": (lambda x: type(x) is str, "a string"),
+    "class_labels": (_list_of(lambda x: type(x) is str), "a list of strings"),
+    "class_sizes": (_list_of(_count), "a list of positive integers"),
+    "degrees": (_list_of(_count), "a list of positive integers"),
+    "chars": (_list_of(_list_of(lambda v: type(v) is list and len(v) == 2 and all(map(_real, v)))),
+              "a list of rows of [re, im] pairs of finite numbers"),
+    "provenance": (lambda x: type(x) is str, "a string"),
+}
+
+
 class CharTable:
     def __init__(self, name: str, class_labels, class_sizes, degrees, chars,
                  provenance: str):
@@ -73,8 +97,9 @@ class CharTable:
         k = len(self.chars)
         if any(len(row) != len(self.class_labels) for row in self.chars):
             raise ValueError("ragged character matrix")
-        if k != len(self.class_labels):
-            raise ValueError("character table must be square")
+        if not k or {len(self.class_labels), len(self.class_sizes), len(self.degrees)} != {k}:
+            raise ValueError("character table must be square and nonempty, "
+                             "with one class size and one degree per row")
         self.real = [all(abs(v.imag) <= ORTHOGONALITY_TOL for v in row) for row in self.chars]
         self.rational = [
             self.real[i] and all(abs(v.real - round(v.real)) <= INTEGER_TOL for v in self.chars[i])
@@ -120,8 +145,13 @@ class CharTable:
     @staticmethod
     def from_json(text: str) -> "CharTable":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"character table JSON must be an object, not {type(obj).__name__}")
         if not obj.get("provenance"):
             raise ValueError("character table JSON must carry a provenance field")
+        for key, (ok, kind) in _JSON_FIELDS.items():
+            if not ok(obj.get(key)):
+                raise ValueError(f"character table JSON field {key!r} must be {kind}")
         T = CharTable(
             name=obj["name"],
             class_labels=obj["class_labels"],

@@ -242,7 +242,10 @@ def cmd_survey(group_spec: str, cap: int = DEFAULT_ELEMENT_CAP,
 def _load_table(G: Group, char_table_path: str | None) -> CharTable:
     if char_table_path:
         with open(char_table_path, "r", encoding="utf-8") as fh:
-            return CharTable.from_json(fh.read())
+            try:
+                return CharTable.from_json(fh.read())
+            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+                raise ValueError(f"{char_table_path}: not a valid character table: {exc}") from exc
     return character_table(G)
 
 

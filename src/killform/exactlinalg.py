@@ -2,16 +2,19 @@
 
 All elimination mod p goes through one blocked routine, `_echelon`, which
 returns the echelon form and the pivot columns; `_eliminate` adds the
-back-substitution that gives a nullspace basis over GF(p).  Rank is certified
-exactly without full big-integer elimination: the rank mod a random 22-bit
-prime bounds the rank from below (a pivot minor nonzero mod p is nonzero over
-Q).  When the matrix is singular mod p, `_lift_nullspace` CRT-lifts
-nullspaces mod further 22-bit primes (small enough that the float64 panel
-updates stay exact) to rationals, and verifies the lifted basis exactly by one
-matrix product per 31-bit prime; the verified nullity bounds the rank from
-above.  The Casimir solves L y = e_1 by the same lift, applied to
-[L | -e_1] (killing.casimir).  Fraction-free Bareiss remains as the rank
-fallback when the lift stalls and as an independent oracle.
+back-substitution that gives a nullspace basis over GF(p); a matrix of full
+column rank mod p skips it.  Rank is certified exactly without full
+big-integer elimination, by one routine, `_lift_nullspace`: the rank mod a
+random 22-bit prime bounds the rank from below (a pivot minor nonzero mod p is
+nonzero over Q), so full rank mod the first prime settles it after one
+elimination.  Otherwise that elimination's nullspace is the first residue of
+a CRT lift over 22-bit primes (small enough that the float64 panel updates
+stay exact); each lifted vector is reconstructed as rationals over one shared
+denominator and the basis is verified exactly by one matrix product per
+31-bit prime; the verified nullity bounds the rank from above.  The Casimir
+solves L y = e_1 by the same lift, applied to [L | -e_1] (killing.casimir).
+Fraction-free Bareiss remains as the rank fallback when the lift stalls and as
+an independent oracle.
 
 Floating eigenwork goes through LAPACK (numpy.linalg.eigh).
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -256,6 +259,8 @@ def _eliminate(A: np.ndarray, p: int) -> tuple[int, list[int], np.ndarray]:
     """
     A, pivots, width = _echelon(A, p)
     n_cols = A.shape[1]
+    if len(pivots) == n_cols:
+        return n_cols, pivots, np.zeros((n_cols, 0), dtype=np.int64)
     # back-substitution: solve U[:, pivots] X = -U[:, free] one block of
     # pivot rows at a time, bottom up; the strict lower part of U[:, pivots]
     # holds multipliers and is never read
@@ -299,6 +304,36 @@ def _rational_reconstruct(r: int, m: int) -> tuple[int, int] | None:
     if t1 == 0 or abs(t1) > bound or gcd(r1, abs(t1)) != 1:
         return None
     return (-r1, -t1) if t1 < 0 else (r1, t1)
+
+
+def _reconstruct_vector(residues, m: int) -> list[int] | None:
+    """den * x for the rational vector x with these residues mod m and the
+    least den > 0 that makes it integral, or None.
+
+    One denominator is carried along the vector: den * res mod m is taken as
+    the numerator where it is at most sqrt(m/2) in absolute value, and only
+    elsewhere does Wang reconstruction run, multiplying den by the
+    denominator it finds.  The answer is None once den passes sqrt(m/2).
+    Whenever it is not None, it is what per-entry Wang reconstruction scaled
+    by the lcm of its denominators gives.
+    """
+    bound = isqrt(m // 2)
+    den, nums = 1, []
+    for res in residues:
+        n = den * res % m
+        if n > bound:
+            n -= m
+            if n < -bound:
+                frac = _rational_reconstruct(n, m)
+                if frac is None:
+                    return None
+                n, d = frac
+                den *= d
+                if den > bound:
+                    return None
+                nums = [x * d for x in nums]
+        nums.append(n)
+    return nums
 
 
 def _verify_integer_nullspace(A: np.ndarray, vectors: list[list[int]]) -> bool:
@@ -351,11 +386,10 @@ def _lift_nullspace(A: np.ndarray,
             residues, modulus = residues + modulus * t, modulus * p
         lifted = []
         for acc in residues:
-            fracs = [_rational_reconstruct(res, modulus) for res in acc]
-            if None in fracs:
+            v = _reconstruct_vector(acc, modulus)
+            if v is None:
                 break
-            den = lcm(*(d for _, d in fracs))
-            lifted.append([n * (den // d) for n, d in fracs])
+            lifted.append(v)
         else:
             if _verify_integer_nullspace(A, lifted):
                 return best[0], best[1], lifted
@@ -394,16 +428,14 @@ def exact_rank_bareiss(M: IntSymMatrix, cap: int = EXACT_CAP) -> int:
 
 
 def exact_rank(M: IntSymMatrix, seed: int = 0, cap: int = EXACT_CAP) -> int:
-    """Certified rank of M over Q."""
+    """Certified rank of M over Q.
+
+    One `_lift_nullspace`: its first prime's elimination settles a matrix of
+    full rank mod that prime and is the first residue of the lift otherwise.
+    """
     if M.dim > cap:
         raise CapExceeded(f"dim {M.dim} exceeds exact cap {cap}")
-    if M.dim == 0:
-        return 0
-    rng = random.Random(seed)
-    p0 = random_prime_22(rng)
-    if rank_mod_p(M, p0) == M.dim:
-        return M.dim  # a nonzero n x n minor mod p is nonzero over Q
-    lifted = _lift_nullspace(M.data, rng)
+    lifted = _lift_nullspace(M.data, random.Random(seed))
     return _rank_bareiss(M) if lifted is None else lifted[0]  # Bareiss: slow, on a stall
 
 

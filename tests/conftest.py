@@ -3,7 +3,7 @@ from functools import cached_property, lru_cache
 
 import pytest
 
-from killform import killing
+from killform import exactlinalg, killing
 from killform.cli import cmd_survey
 from killform.perms import Perm
 
@@ -48,6 +48,21 @@ def dense_fills(monkeypatch):
     recording.__set_name__(killing._FormMatrix, "data")
     monkeypatch.setattr(killing._FormMatrix, "data", recording)
     return dims
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The shapes of the GF(p) eliminations `exactlinalg` runs during the test
+    (its `_echelon` calls)."""
+    shapes = []
+    echelon = exactlinalg._echelon
+
+    def recording(A, p):
+        shapes.append(A.shape)
+        return echelon(A, p)
+
+    monkeypatch.setattr(exactlinalg, "_echelon", recording)
+    return shapes
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Character tables and eigenspace decompositions against textbook values."""
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -484,6 +485,24 @@ def test_json_requires_provenance():
     obj = _json.loads(T.to_json())
     obj["provenance"] = ""
     with pytest.raises(ValueError):
+        CharTable.from_json(_json.dumps(obj))
+
+
+@pytest.mark.parametrize("key, value, says", [
+    ("name", None, "field 'name' must be a string"),
+    ("class_sizes", [1, 3, "2"], "field 'class_sizes' must be a list of positive integers"),
+    ("degrees", [1, True, 2], "field 'degrees' must be a list of positive integers"),
+    ("chars", [[[1, 0]] * 3] * 2 + [[[2, 0], [0, 0], [float("nan"), 0]]],
+     "field 'chars' must be a list of rows of [re, im] pairs of finite numbers"),
+    ("chars", [[[1, 0]] * 3] * 2 + [[[2, 0], [0, 0], [float("inf"), 0]]],  # crashed in round()
+     "field 'chars' must be a list of rows of [re, im] pairs of finite numbers"),
+    ("class_sizes", [1, 3], "one class size and one degree per row"),
+])
+def test_json_import_names_an_ill_typed_field(key, value, says):
+    import json as _json
+    obj = _json.loads(table(symmetric_group(3)).to_json())
+    obj[key] = value
+    with pytest.raises(ValueError, match=re.escape(says)):
         CharTable.from_json(_json.dumps(obj))
 
 

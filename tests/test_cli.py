@@ -208,6 +208,20 @@ def test_decompose_rejects_the_table_of_another_group(tmp_path, capsys, foreign)
     assert "those of A5 are 1A:1 2A:15 3A:20 5A:12 5B:12" in err
 
 
+@pytest.mark.parametrize("text, says", [
+    ("", "Expecting value"),
+    ("[1, 2]", "must be an object, not list"),
+    ('"hi"', "must be an object, not str"),
+    ('{"provenance": "x"}', "field 'name' must be a string"),
+])
+def test_decompose_rejects_a_malformed_table_file(tmp_path, capsys, text, says):
+    table = tmp_path / "table.json"
+    table.write_text(text, encoding="utf-8")
+    assert main(["decompose", "A5", "2A", "--char-table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert f"{table}: not a valid character table: " in err and says in err
+
+
 # -------------------------------------------------------------------- casimir
 
 def test_casimir_a5_involutions():

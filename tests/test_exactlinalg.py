@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from casimir_oracle import exact_inverse
-from killform import exactlinalg
+from killform import characters, exactlinalg
+from killform.cli import cmd_decompose
 from killform.errors import CapExceeded, SingularMatrix
 from killform.exactlinalg import (
     IntSymMatrix,
@@ -15,7 +17,10 @@ from killform.exactlinalg import (
     _exact_inertia_ldlt,
     _gf_block_width,
     _is_prime,
+    _lift_nullspace,
     _matmul_mod,
+    _rational_reconstruct,
+    _reconstruct_vector,
     _verify_integer_nullspace,
     connected_components,
     exact_rank,
@@ -137,6 +142,103 @@ def test_verify_integer_nullspace_takes_enough_primes():
 def test_exact_rank_cap():
     with pytest.raises(CapExceeded):
         exact_rank(IntSymMatrix(np.eye(5, dtype=int)), cap=4)
+
+
+def test_exact_rank_settled_by_its_first_prime_eliminates_once(eliminations):
+    # [[A, A], [A, A]] with A nonsingular: the nullspace basis is (-e_j, e_j),
+    # small enough to reconstruct from one 22-bit prime
+    A = 3 * np.eye(6, dtype=np.int64) + random_symmetric(np.random.default_rng(2), 6, -1, 1).data
+    M = IntSymMatrix(np.block([[A, A], [A, A]]))
+    assert exact_rank(M) == 6 == rank_fraction_oracle(M)
+    assert eliminations == [(12, 12)]
+
+
+def test_exact_rank_of_a_full_rank_matrix_eliminates_once(eliminations):
+    M = IntSymMatrix(3 * np.eye(40, dtype=np.int64)
+                     + random_symmetric(np.random.default_rng(4), 40, -1, 1).data)
+    assert exact_rank(M) == 40
+    assert eliminations == [(40, 40)]
+    assert _lift_nullspace(M.data, random.Random(0)) == (40, list(range(40)), [])
+    rank, _, N = _eliminate(M.data, P22)
+    assert rank == 40 and N.shape == (40, 0)
+
+
+def test_decompose_eliminates_once_per_integral_certificate(monkeypatch, eliminations):
+    per_call = []
+    certify = characters.exact_rank
+
+    def recording(M, *args, **kwargs):
+        before = len(eliminations)
+        rank = certify(M, *args, **kwargs)
+        per_call.append(len(eliminations) - before)
+        return rank
+
+    monkeypatch.setattr(characters, "exact_rank", recording)
+    assert cmd_decompose("PSL(2,11)", "5A").exit_code == 0
+    assert per_call == [1] * 6
+
+
+@pytest.mark.parametrize("rest", [(1,), (1, 0)])
+def test_exact_rank_survives_a_first_prime_dividing_a_pivot(monkeypatch, rest):
+    # p divides the first diagonal entry, so the first prime sees rank 1 with
+    # a nullspace vector (1, 0, ...) that the exact check rejects
+    p = random_prime_22(random.Random(1))
+    M = IntSymMatrix(np.diag([p, *rest]))
+    draw = exactlinalg.random_prime_22
+    drawn = []
+
+    def p_first(rng):
+        drawn.append(draw(rng) if drawn else p)
+        return drawn[-1]
+
+    monkeypatch.setattr(exactlinalg, "random_prime_22", p_first)
+    assert exact_rank(M) == 2
+    assert len(drawn) >= 2  # p alone did not settle it
+
+
+def wang_per_entry(residues, m):
+    """Per-entry Wang reconstruction over the lcm of its denominators."""
+    fracs = [_rational_reconstruct(r, m) for r in residues]
+    if None in fracs:
+        return None
+    den = lcm(*(d for _, d in fracs))
+    return [n * (den // d) for n, d in fracs]
+
+
+PRIMES_22 = [random_prime_22(random.Random(k)) for k in range(4)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(1, 2**20)), min_size=1,
+                max_size=8),
+       st.integers(1, len(PRIMES_22)))
+def test_reconstruct_vector_agrees_with_per_entry_wang(fracs, n_primes):
+    m = 1
+    for p in PRIMES_22[:n_primes]:
+        m *= p  # every denominator is below every prime, so it is invertible
+    residues = [n * pow(d, -1, m) % m for n, d in fracs]
+    bound = isqrt(m // 2)
+    v, w = _reconstruct_vector(residues, m), wang_per_entry(residues, m)
+    if v is not None:
+        assert v == w
+    if w is None or lcm(*(_rational_reconstruct(r, m)[1] for r in residues)) > bound:
+        assert v is None  # the modulus is too small for one shared denominator
+    elif max(map(abs, w)) <= bound:
+        assert v == w
+    x = [Fraction(n, d) for n, d in fracs]
+    den = lcm(*(q.denominator for q in x))
+    truth = [int(q * den) for q in x]
+    if max(den, *map(abs, truth)) <= bound:
+        assert v == truth
+
+
+def test_reconstruct_vector_is_none_when_no_shared_denominator_fits():
+    # mod 1009, 1/3, 1/5 and 1/7 each reconstruct, but their lcm 105 exceeds
+    # sqrt(1009/2)
+    for m, shared in [(1009, None), (PRIMES_22[0], [35, 21, 15])]:
+        residues = [pow(d, -1, m) for d in (3, 5, 7)]
+        assert wang_per_entry(residues, m) == [35, 21, 15]
+        assert _reconstruct_vector(residues, m) == shared
 
 
 @settings(deadline=None, max_examples=40)
