@@ -12,7 +12,8 @@ central idempotents of QG, one per Galois orbit of irreducibles, are proposed
 by the table and then checked exactly in the class algebra
 (`rational_idempotents`); the class-form signature is decided with them.  The
 eigenspace decomposition runs on the Z(g)-orbits of the class, an r x r
-eigenproblem with r = sum of m_i^2, instead of on the |C|-dim module.
+eigenproblem with r = sum of m_i^2, instead of on the |C|-dim module, and
+reads each eigenspace's irreducibles off g's row of its projector.
 """
 from __future__ import annotations
 
@@ -647,29 +648,28 @@ class Decomposition:
 
 def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
     """Split each Killing eigenspace into irreducibles of the conjugation action,
-    on the Z(g)-orbits of C instead of on the |C|-dim module.
+    on the Z(g)-orbits of C instead of on the |C|-dim module, from g's row.
 
-    K acts on the i-isotypic part of CC as B_i (x) I_{d_i}, and that part meets
-    the Z(g)-fixed vectors in V_i^Z(g) (x) C^{m_i}, of dimension m_i^2: there
-    K acts as I_{m_i} (x) B_i.  In the orthonormal coordinates W^{1/2} v of the
-    orbit indicators (W = diag(w)) K is Y = W^{-1/2} S W^{-1/2}
-    (killing._orbital_data), and the central idempotent of V_i is the
-    orthogonal projector P_i = W^{1/2} E_i W^{-1/2}, E_i = (d_i/|G|) sum_j
-    chi_i(g_j) A_j.  With Y = Q diag(lambda) Q^T, D[i, a] = (Q^T P_i Q)[a, a]
-    sums over an eigenvalue cluster to tr(P_i on that eigenspace of Y), which
-    is m_i times the number of times V_i lies in the eigenspace of K, and over
-    all a to tr P_i = m_i^2.  So m_i = sqrt(sum_a D[i, a]), V_i lies
-    (sum over the cluster of D[i, a]) / m_i times in it, and the eigenspace
-    has dimension sum_i d_i * mult_i.
+    In the orthonormal coordinates W^{1/2} v of the orbit indicators
+    (W = diag(w)) K is Y = W^{-1/2} S W^{-1/2} (killing._orbital_data).  K's
+    projector P onto an eigenspace commutes with conjugation, so P e_g is
+    Z(g)-fixed: sum_t Pi[t, 0] 1_{O_t} / sqrt(w_t), Pi the projector of that
+    eigenvalue cluster of Y (O_1 = {g}, w_1 = 1).  So h in C_j has the trace
+    (|C| / |C_j|) sum over y in C_j^-1 of P[y g y^-1, g] on the eigenspace,
+    and V_i lies (|C| / |G|) Re sum_j chi_i(g_j) sum_t F[j, t] Pi[t, 0] /
+    sqrt(w_t) times in it, F[j, t] the number of h in C_j with h g h^-1 in
+    O_t (the first rows of the class sums): one r-vector Pi[:, 0] per
+    cluster.  With Pi = I the sum is m_i, the multiplicity of V_i in CC and
+    the dimension of its Z(g)-fixed vectors (Frobenius reciprocity).
 
-    The float steps are gated: every multiplicity within PROJECTOR_TOL of an
-    integer, each cluster's size in the fixed vectors equal to
-    sum_i m_i * mult_i, the totals equal to the conjugation-character
-    multiplicities and the dimensions summing to |C|.  A value the float
-    flag calls integral is then checked exactly: lambda = round(value) is
-    certified when S - lambda W has the cluster's size as nullity, and left
-    uncertified when it is nonsingular, so lambda is no eigenvalue at all
-    (M11 5A near -1535 is such a case).
+    The float steps are gated: m_i and every multiplicity within
+    PROJECTOR_TOL of an integer, each cluster's size in the fixed vectors
+    equal to sum_i m_i * mult_i, the totals equal to the conjugation-character
+    multiplicities and the dimensions sum_i d_i * mult_i summing to |C|.  A
+    value the float flag calls integral is then checked exactly: lambda =
+    round(value) is certified when S - lambda W has the cluster's size as
+    nullity, and left uncertified when it is nonsingular, so lambda is no
+    eigenvalue at all (M11 5A near -1535 is such a case).
     """
     if not K.is_class_calculus or K.group is None:
         raise ValueError("decomposition needs a class calculus with its group")
@@ -687,39 +687,34 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
     S, w = orbital.S, orbital.w
     root_w = np.sqrt(w)
     Q, clusters = _clustered_eigh(S / np.outer(root_w, root_w))
-    # diag(Q^T W^{1/2} A_j W^{-1/2} Q), one class at a time
-    left, right = Q * root_w[:, None], Q / root_w[:, None]
-    diagonals = np.array([(left * (A_j @ right)).sum(axis=0) for A_j in orbital.A])
-    degrees = np.array(T.degrees)
-    D = (degrees[:, None] / G.order * (np.array(T.chars, dtype=complex) @ diagonals)).real
-    m = np.sqrt(np.abs(D.sum(axis=1)))
-    m_int = np.rint(m).astype(np.int64)
-    scale = np.where(m_int > 0, m, 1.0)
+    weights = C.size / G.order * (np.array(T.chars, dtype=complex) @ (orbital.first_rows / root_w))
+    # each cluster's Pi[:, 0] = sum over it of Q[:, a] Q[0, a]; raw[:, 0] is Pi = I, so m
+    Pi = np.add.reduceat(Q * Q[0], [start for start, _, _, _ in clusters], axis=1)
+    raw = np.column_stack([weights[:, 0], weights @ Pi]).real
+    counts = np.rint(raw).astype(np.int64)
+    off = np.abs(raw - counts) > PROJECTOR_TOL
+    if off.any():
+        i, c = np.argwhere(off)[0]
+        raise ProjectorMismatch(
+            f"mult of {T.irrep_labels[i]} in {f'E_{clusters[c - 1][2]:.4g}' if c else 'CC'} "
+            f"is {raw[i, c]:.6f}, not an integer within {PROJECTOR_TOL}")
+    m_int = counts[:, 0]
 
     entries = []
-    totals = np.zeros(len(degrees), dtype=np.int64)
-    for start, stop, value, integral in clusters:
-        raw = D[:, start:stop].sum(axis=1) / scale
-        mults = np.rint(raw).astype(np.int64)
-        off = np.abs(raw - mults) > PROJECTOR_TOL
-        if off.any():
-            i = int(np.argmax(off))
-            raise ProjectorMismatch(
-                f"mult of {T.irrep_labels[i]} in E_{value:.4g} is {raw[i]:.6f}, "
-                f"not an integer within {PROJECTOR_TOL}")
+    for (start, stop, value, integral), mults in zip(clusters, counts[:, 1:].T):
         if int(m_int @ mults) != stop - start:
             raise ProjectorMismatch(
                 f"irreps in E_{value:.4g} meet the fixed vectors in {int(m_int @ mults)} "
                 f"dimensions, the eigenvalue cluster has {stop - start}")
         certified = integral and _integral_certified(S, w, round(value), stop - start)
-        totals += mults
-        entries.append(DecompEntry(value=value, dim=int(degrees @ mults),
+        entries.append(DecompEntry(value=value, dim=int(mults @ T.degrees),
                                    mults=tuple(mults.tolist()), integral=integral,
                                    certified=certified))
     expected = multiplicities(conjugation_character(G, C), T)
-    if list(totals) != expected:
+    totals = counts[:, 1:].sum(axis=1).tolist()
+    if totals != expected:
         raise ProjectorMismatch(
-            f"eigenspace totals {list(totals)} != conjugation-character multiplicities {expected}")
+            f"eigenspace totals {totals} != conjugation-character multiplicities {expected}")
     if sum(e.dim for e in entries) != C.size:
         raise ProjectorMismatch(
             f"eigenspace dims sum to {sum(e.dim for e in entries)}, not |C| = {C.size}")

@@ -39,6 +39,8 @@ def _class_letter(i: int) -> str:
 
 
 def _row_dtype(degree: int) -> np.dtype:
+    if degree > 65535:  # the element cap would no longer bound the memory of wider rows
+        raise CapExceeded(f"degree {degree} is above the limit of 65535 points")
     return np.dtype(np.uint8 if degree <= 255 else np.uint16)
 
 
@@ -430,8 +432,8 @@ def symmetric_class(n: int, mu) -> ConjClass:
     Works even when S_n itself is too big to enumerate; this is how the
     2-cycles classes of large symmetric groups are analysed.
     """
-    lens = _full_cycle_type(n, mu)
-    arr = np.array(sorted(_perms_of_cycle_type(n, lens)), dtype=_row_dtype(n))
+    dtype, lens = _row_dtype(n), _full_cycle_type(n, mu)
+    arr = np.array(sorted(_perms_of_cycle_type(n, lens)), dtype=dtype)
     return ConjClass(arr, label=",".join(str(l) for l in lens))
 
 
@@ -535,9 +537,11 @@ def parse_group_file(path) -> tuple[str, int, list[Perm]]:
         if line.startswith("name "):
             name = line[5:].strip()
         elif line.startswith("degree "):
-            degree = int(line[7:].strip())
+            text = line[7:].strip()
+            degree = int(text) if text.isdecimal() else 0
             if degree < 1:
-                raise UnknownSpec(f"{path}:{lineno}: degree must be at least 1, not {degree}")
+                raise UnknownSpec(f"{path}:{lineno}: degree must be at least 1, not {text}")
+            _row_dtype(degree)  # refuse a degree too large before reading any generator
         else:
             if degree is None:
                 raise UnknownSpec(f"{path}:{lineno}: generator before degree line")

@@ -312,14 +312,14 @@ class _OrbitalData:
     """A class form on the Z(g)-orbits O_1..O_r of C, g = x_1 the representative:
     first, the index in C of each orbit's first member x_s; orbit_of, the
     orbit of each member of C; w, the orbit sizes w_s; S = diag(w) L,
-    L[s,t] = sum over b in O_t of K[x_s, b]; and the class sums
+    L[s,t] = sum over b in O_t of K[x_s, b]; the class sums
     A[j][s, t] = #{h in C_j : h x_s h^-1 in O_t}, one r x r per class, formed
-    on first read."""
+    on first read; and their first rows, first_rows[j, t] = A[j][0, t]."""
 
     def __init__(self, first: np.ndarray, orbit_of: np.ndarray, w: np.ndarray,
-                 S: np.ndarray, class_sums):
+                 S: np.ndarray, first_rows: np.ndarray, class_sums):
         self.first, self.orbit_of, self.w, self.S = first, orbit_of, w, S
-        self._class_sums = class_sums
+        self.first_rows, self._class_sums = first_rows, class_sums
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -327,9 +327,9 @@ class _OrbitalData:
 
 
 def _orbital_data(K: KillingForm) -> _OrbitalData | None:
-    """The orbital form and class sums of a class form with its group; None
-    where C is not a class of G, K does not commute with conjugation, or S
-    would not fit in int64.
+    """The orbital form, class sums and first rows of a class form with its
+    group; None where C is not a class of G, K does not commute with
+    conjugation, or S would not fit in int64.
 
     Only the r rows of K at the x_s are read, r * |C| entries.  A form built
     from phi (killing_matrix) commutes with conjugation by construction:
@@ -340,9 +340,10 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
     One conjugation of g by all of G gives, for every a in C, the count
     tau[a, j] = #{h in C_j : h g h^-1 = a}, the centraliser Z(g) (the h with
     h g h^-1 = g) and, for each orbit, c_s, the first h with h g h^-1 = x_s.
-    As h runs over C_j so does c_s^-1 h c_s, which takes x_s to b exactly when
-    it takes g to c_s^-1 b c_s, so A_j[s, t] = sum over b in O_t of
-    tau[c_s^-1 b c_s, j]: r * |C| conjugates, not r * |G|.
+    The first rows, A_j[0, t] = sum over b in O_t of tau[b, j], are summed at
+    once.  As h runs over C_j so does c_s^-1 h c_s, which takes x_s to b
+    exactly when it takes g to c_s^-1 b c_s, so A_j[s, t] = sum over b in O_t
+    of tau[c_s^-1 b c_s, j]: r * |C| conjugates, not r * |G|.
     """
     G, C = K.group, K.conj_class
     members = np.flatnonzero(G.class_map == G.class_index_of(C.representative))
@@ -376,10 +377,10 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
     S = w[:, None] * np.add.reduceat(rows[:, by_orbit], starts, axis=1)
     if not np.array_equal(S, S.T):
         return None
+    k = len(G.classes())
+    tau = np.bincount(image * k + G.class_map, minlength=C.size * k).reshape(C.size, k)
 
     def class_sums() -> np.ndarray:
-        k = len(G.classes())
-        tau = np.bincount(image * k + G.class_map, minlength=C.size * k).reshape(C.size, k)
         c = G.arr[np.unique(image, return_index=True)[1][first]]
         # row b (the members in orbit order) and column s: c_s^-1 b c_s, in C
         moved = in_C[G.locator.conjugates(C.arr[by_orbit], np.argsort(c, axis=1).astype(c.dtype))]
@@ -388,7 +389,7 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
             A[j] = np.add.reduceat(tau[:, j][moved], starts, axis=0).T
         return A
 
-    return _OrbitalData(first, orbit_of, w, S, class_sums)
+    return _OrbitalData(first, orbit_of, w, S, np.add.reduceat(tau[by_orbit], starts).T, class_sums)
 
 
 def _orbital_signature(K: KillingForm, seed: int = 0,

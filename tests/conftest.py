@@ -51,6 +51,17 @@ def dense_fills(monkeypatch):
 
 
 @pytest.fixture
+def class_sum_reads(monkeypatch):
+    """The orbit counts r of the orbital data whose class sums
+    `_OrbitalData.A` are read during the test, one entry per read."""
+    reads = []
+    class_sums = killing._OrbitalData.A
+    recording = property(lambda D: reads.append(len(D.w)) or class_sums.__get__(D, type(D)))
+    monkeypatch.setattr(killing._OrbitalData, "A", recording)
+    return reads
+
+
+@pytest.fixture
 def eliminations(monkeypatch):
     """The shapes of the GF(p) eliminations `exactlinalg` runs during the test
     (its `_echelon` calls)."""

@@ -10,7 +10,7 @@ from decomposition_oracle import dense_decomposition
 from golden_survey import GROUP_SPECS
 from group_strategies import permutation_groups_up_to_degree_8
 from killform import characters, killing
-from killform.cli import main
+from killform.cli import cmd_survey, main
 
 from killform.characters import (
     CharTable,
@@ -380,6 +380,37 @@ def test_decompose_m11_5a_solves_no_class_sized_eigenproblem(monkeypatch, capsys
     assert "| 5A | -1535 | 55 | 55 | true |" in out
     assert err == ("warning: 5A eigenvalue -1534.998938 is flagged integral, "
                    "but -1535 is not an eigenvalue (exact rank)\n")
+
+
+def test_decompose_reads_no_class_sums(class_sum_reads, capsys):
+    assert main(["decompose", GROUP_SPECS["M11"], "5A"]) == 0
+    G = alternating_group(7)
+    T = character_table(G)
+    for C in G.classes()[1:]:
+        eigenspace_decomposition(killing_matrix(G, C), T)
+    assert class_sum_reads == []
+
+
+def test_survey_reads_the_class_sums_once_per_orbital_signature(class_sum_reads):
+    # every nontrivial class of A5 has its signature decided on the orbits
+    cmd_survey("A5")
+    G = alternating_group(5)
+    assert class_sum_reads == [len(killing._orbital_data(killing_matrix(G, C)).w)
+                               for C in G.classes()[1:]]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_first_rows_give_the_conjugation_character_multiplicities(spec):
+    G = build_named_group(spec)
+    T = character_table(G)
+    X = np.array(T.chars, dtype=complex)
+    for C in G.classes()[1:]:
+        orbital = killing._orbital_data(killing_matrix(G, C))
+        assert np.array_equal(orbital.first_rows, orbital.A[:, 0, :]), C.label
+        # the decomposition's sum with Pi = I: (|C| / |G|) sum_j chi_i(g_j) A_j[0, 0]
+        Pi = np.eye(len(orbital.w))
+        m = (C.size / G.order * (X @ (orbital.first_rows / np.sqrt(orbital.w)) @ Pi[:, 0])).real
+        assert m == pytest.approx(multiplicities(conjugation_character(G, C), T), abs=1e-9)
 
 
 def test_an_integral_nullity_other_than_the_cluster_size_is_a_mismatch():

@@ -341,6 +341,8 @@ def test_main_jobs_beyond_class_count(capsys):
 @pytest.mark.parametrize("body, message", [
     ("degree -2\n", "degree must be at least 1"),
     ("degree 0\n", "degree must be at least 1"),
+    ("degree abc\n", "bad.grp:2: degree must be at least 1, not abc"),
+    ("degree 70000\n(1,70000)\n", "degree 70000 is above the limit of 65535 points"),
     ("degree 4\n(1,1)\n", "point 1 appears twice"),
     ("degree 4\n(1,2)(3,3)\n", "point 3 appears twice"),
     ("degree 4\n(1,2)(2,3)\n", "point 2 appears twice"),
@@ -350,6 +352,11 @@ def test_main_rejects_malformed_group_file(tmp_path, body, message, capsys):
     path.write_text("name bad\n" + body, encoding="utf-8")
     assert main(["survey", f"file:{path}"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_main_refuses_a_degree_above_65535(capsys):
+    assert main(["survey", "S70000"]) == 2
+    assert "degree 70000 is above the limit of 65535 points" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, selector", [("survey", []), ("decompose", ["5A"])])

@@ -481,6 +481,18 @@ def test_symmetric_class_sizes():
     assert symmetric_class(8, (8,)).size == 5040
 
 
+def test_degree_above_65535_is_refused(monkeypatch):
+    assert groups._row_dtype(65535) == np.uint16
+    with pytest.raises(CapExceeded, match="degree 65536 is above the limit of 65535 points"):
+        groups._row_dtype(65536)
+    with pytest.raises(CapExceeded, match="degree 70000"):
+        generate_group([Perm.from_cycles([(0, 69999)], 70000)])
+    monkeypatch.setattr(groups, "_perms_of_cycle_type",
+                        lambda n, lens: pytest.fail(f"enumerated a class of degree {n}"))
+    with pytest.raises(CapExceeded, match="degree 70000"):
+        symmetric_class(70000, (2,))
+
+
 def test_centre():
     assert symmetric_group(3).centre() == [Perm.identity(3)]
     cyclic = generate_group([Perm.parse("(1,2,3,4)", 4)])
