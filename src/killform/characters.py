@@ -34,8 +34,7 @@ from .errors import (
     OrthogonalityFailure,
     ProjectorMismatch,
 )
-from .exactlinalg import (IntSymMatrix, _clustered_eigh, _eliminate, _is_prime, _matmul_mod,
-                          exact_rank)
+from .exactlinalg import IntSymMatrix, _eliminate, _is_prime, _matmul_mod, exact_rank
 from .gf import _least_primitive_root
 from .groups import ConjClass, Group
 from .killing import KillingForm, _orbital_data, _roth_holds
@@ -651,10 +650,11 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
     on the Z(g)-orbits of C instead of on the |C|-dim module, from g's row.
 
     In the orthonormal coordinates W^{1/2} v of the orbit indicators
-    (W = diag(w)) K is Y = W^{-1/2} S W^{-1/2} (killing._orbital_data).  K's
-    projector P onto an eigenspace commutes with conjugation, so P e_g is
-    Z(g)-fixed: sum_t Pi[t, 0] 1_{O_t} / sqrt(w_t), Pi the projector of that
-    eigenvalue cluster of Y (O_1 = {g}, w_1 = 1).  So h in C_j has the trace
+    (W = diag(w)) K is Y = W^{-1/2} S W^{-1/2}, solved once with the
+    spectrum (killing._OrbitalData.eigenspaces).  K's projector P onto an
+    eigenspace commutes with conjugation, so P e_g is Z(g)-fixed:
+    sum_t Pi[t, 0] 1_{O_t} / sqrt(w_t), Pi the projector of that eigenvalue
+    cluster of Y (O_1 = {g}, w_1 = 1).  So h in C_j has the trace
     (|C| / |C_j|) sum over y in C_j^-1 of P[y g y^-1, g] on the eigenspace,
     and V_i lies (|C| / |G|) Re sum_j chi_i(g_j) sum_t F[j, t] Pi[t, 0] /
     sqrt(w_t) times in it, F[j, t] the number of h in C_j with h g h^-1 in
@@ -685,11 +685,10 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
         raise ProjectorMismatch(f"{K!r} has no orbital form: C is not a class of {G.name}, "
                                 f"K does not commute with conjugation, or S overflows int64")
     S, w = orbital.S, orbital.w
-    root_w = np.sqrt(w)
-    Q, clusters = _clustered_eigh(S / np.outer(root_w, root_w))
-    weights = C.size / G.order * (np.array(T.chars, dtype=complex) @ (orbital.first_rows / root_w))
-    # each cluster's Pi[:, 0] = sum over it of Q[:, a] Q[0, a]; raw[:, 0] is Pi = I, so m
-    Pi = np.add.reduceat(Q * Q[0], [start for start, _, _, _ in clusters], axis=1)
+    clusters, Pi = orbital.eigenspaces
+    chars = np.array(T.chars, dtype=complex)
+    weights = C.size / G.order * (chars @ (orbital.first_rows / np.sqrt(w)))
+    # raw[:, 0] is Pi = I, so m
     raw = np.column_stack([weights[:, 0], weights @ Pi]).real
     counts = np.rint(raw).astype(np.int64)
     off = np.abs(raw - counts) > PROJECTOR_TOL

@@ -86,7 +86,9 @@ class Signature:
 class SpectrumEntry:
     value: float
     multiplicity: int
-    vectors: np.ndarray  # dim x multiplicity, orthonormal columns
+    # dim x multiplicity, orthonormal columns; None on the entries read on the
+    # centraliser orbits (KillingForm.spectrum)
+    vectors: np.ndarray | None
     integral: bool
 
 

@@ -445,6 +445,7 @@ def symmetric_group(n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
         raise UnknownSpec("S_n needs n >= 1")
     if n == 1:
         return generate_group([], name="S1", degree=1, cap=cap)
+    _row_dtype(n)  # refuse an over-wide degree before building its n-cycle
     gens = [Perm.from_cycles([(0, 1)], n), Perm.from_cycles([tuple(range(n))], n)]
     return generate_group(gens, name=f"S{n}", cap=cap)
 
@@ -454,6 +455,7 @@ def alternating_group(n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
         raise UnknownSpec("A_n needs n >= 1")
     if n <= 2:
         return generate_group([], name=f"A{n}", degree=max(n, 1), cap=cap)
+    _row_dtype(n)  # refuse an over-wide degree before building its long cycle
     if n == 3:
         gens = [Perm.from_cycles([(0, 1, 2)], 3)]
     elif n % 2 == 1:

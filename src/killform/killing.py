@@ -11,12 +11,13 @@ rows a caller asks for are formed on request, and the dense matrix only on
 the first read of `.data`.  A class form with its group is read on the r
 rows at the first members x_s of the orbits of the centraliser Z(g) on C,
 r * |C| entries instead of |C|^2 (_orbital_data): lambda_max, the component
-count, the signature, the decomposition and the Casimir all come from them.
-The signature is decided one block per rational central idempotent of QG, on
-matrices of total size r = sum of m_i^2 (_orbital_signature).  A universal
-form is one component, and its signature comes in closed form from Roth's
-property (_universal_signature).  The dense matrix, with `signature` and
-`connected_components`, decides the rest and stays the test oracle.
+count, the signature, the spectrum and decomposition (one eigensolve) and
+the Casimir all come from them.  The signature is decided one block per
+rational central idempotent of QG, on matrices of total size r = sum of
+m_i^2 (_orbital_signature).  A universal form is one component, and its
+signature comes in closed form from Roth's property (_universal_signature).
+The dense matrix, with `signature`, `spectrum` and `connected_components`,
+decides the rest and stays the test oracle.
 """
 from __future__ import annotations
 
@@ -27,15 +28,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceeded, NotCentral, RowSumMismatch, SingularMatrix, ZeroMultiplicity
+from .errors import (CapExceeded, NotCentral, ProjectorMismatch, RowSumMismatch, SingularMatrix,
+                     ZeroMultiplicity)
 from .exactlinalg import (
     IntSymMatrix,
     Signature,
-    _echelon,
+    SpectrumEntry,
+    _clustered_eigh,
     _lift_nullspace,
     connected_components,
     exact_rank,
-    random_prime_22,
     signature,
     spectrum,
 )
@@ -113,7 +115,6 @@ class KillingForm:
         self.universal = universal
         self.includes_identity = includes_identity
         self.analysis: KillingAnalysis | None = None
-        self._spectrum = None
 
     @property
     def is_class_calculus(self) -> bool:
@@ -131,10 +132,33 @@ class KillingForm:
     def basis_index(self, p: Perm) -> int:
         return self._index[p.images]
 
-    def spectrum(self):
-        if self._spectrum is None:
-            self._spectrum = spectrum(self.matrix)
-        return self._spectrum
+    def spectrum(self) -> list[SpectrumEntry]:
+        """The eigenvalue clusters of the form, as exactlinalg.spectrum gives them.
+
+        A class form built by killing_matrix with its group is solved on its
+        orbital data (_OrbitalData.eigenspaces), without vectors: every
+        eigenspace of K is a G-module inside CC = Ind_{Z(g)}^G 1, so it meets
+        the Z(g)-fixed vectors, and its projector P commutes with conjugation,
+        so its dimension is tr P = |C| P[g, g] = |C| Pi[0, 0].  These must be
+        integers within PROJECTOR_TOL, at least 1 and summing to |C|, or
+        ProjectorMismatch.  Other forms take the dense `eigh`.
+        """
+        from .characters import PROJECTOR_TOL  # it imports this module
+
+        C, orbital = self.conj_class, None
+        if C is not None and self.group is not None and isinstance(self.matrix, _FormMatrix):
+            orbital = _orbital_data(self)
+        if orbital is None:
+            return spectrum(self.matrix)
+        clusters, Pi = orbital.eigenspaces
+        raw = C.size * Pi[0]
+        dims = np.rint(raw).astype(np.int64)
+        if (np.abs(raw - dims) > PROJECTOR_TOL).any() or dims.min() < 1 or dims.sum() != C.size:
+            raise ProjectorMismatch(
+                f"eigenspace dimensions of {self!r} are {np.round(raw, 6).tolist()}, not "
+                f"positive integers within {PROJECTOR_TOL} summing to |C| = {C.size}")
+        return [SpectrumEntry(value=value, multiplicity=int(d), vectors=None, integral=integral)
+                for (_, _, value, integral), d in zip(clusters, dims)]
 
     def __repr__(self) -> str:
         what = "universal" if self.universal else (self.conj_class.label or "class")
@@ -314,7 +338,8 @@ class _OrbitalData:
     orbit of each member of C; w, the orbit sizes w_s; S = diag(w) L,
     L[s,t] = sum over b in O_t of K[x_s, b]; the class sums
     A[j][s, t] = #{h in C_j : h x_s h^-1 in O_t}, one r x r per class, formed
-    on first read; and their first rows, first_rows[j, t] = A[j][0, t]."""
+    on first read; their first rows, first_rows[j, t] = A[j][0, t]; and the
+    eigensolve of the form on the orbits (eigenspaces), on first read."""
 
     def __init__(self, first: np.ndarray, orbit_of: np.ndarray, w: np.ndarray,
                  S: np.ndarray, first_rows: np.ndarray, class_sums):
@@ -324,6 +349,15 @@ class _OrbitalData:
     @cached_property
     def A(self) -> np.ndarray:
         return self._class_sums()
+
+    @cached_property
+    def eigenspaces(self) -> tuple[list[tuple[int, int, float, bool]], np.ndarray]:
+        """The eigenvalue clusters (exactlinalg._clustered_eigh) of K on the
+        orthonormal orbit indicators, Y = W^{-1/2} S W^{-1/2} with W = diag(w),
+        and Pi, whose column c is Pi_c[:, 0] for Y's projector Pi_c on cluster c."""
+        root_w = np.sqrt(self.w)
+        Q, clusters = _clustered_eigh(self.S / np.outer(root_w, root_w))
+        return clusters, np.add.reduceat(Q * Q[0], [start for start, _, _, _ in clusters], axis=1)
 
 
 def _orbital_data(K: KillingForm) -> _OrbitalData | None:
@@ -457,13 +491,13 @@ def _orbital_signature(K: KillingForm, seed: int = 0,
 
 def _image_basis(N: np.ndarray, rank: int, rng: random.Random) -> np.ndarray | None:
     """rank columns of N that span its image, each divided by its content;
-    None if their rank mod eight 22-bit primes all falls short.
+    None if their rank over Q (`_lift_nullspace`) falls short or is unsettled.
 
     The columns are picked in float as QR with column pivoting picks them
     (Businger and Golub 1965), the one with the largest residual each time,
     so that P^T S P is well conditioned and the float separation in
     `signature` decides; the raw columns of N are spread over many orders of
-    magnitude.  Their independence is then certified by the rank mod p.
+    magnitude.  Their independence is then certified by `_lift_nullspace`.
     """
     R = N.astype(np.float64)
     picked = []
@@ -474,10 +508,10 @@ def _image_basis(N: np.ndarray, rank: int, rng: random.Random) -> np.ndarray | N
         q = R[:, c] / np.sqrt(norms[c])
         R -= np.outer(q, q @ R)
     P = N[:, picked]
-    for _ in range(8):
-        if len(_echelon(P, random_prime_22(rng))[1]) == rank:
-            return P // np.gcd.reduce(P, axis=0)
-    return None
+    lifted = _lift_nullspace(P, rng)
+    if lifted is None or lifted[0] < rank:
+        return None
+    return P // np.gcd.reduce(P, axis=0)
 
 
 def analyze(K: KillingForm, seed: int = 0) -> KillingForm:

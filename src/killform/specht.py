@@ -4,7 +4,10 @@ the closed forms for the 2-cycles spectrum.
 
 Irreducible characters of S_n are computed here independently of the modular
 character-table code, by the Murnaghan-Nakayama border-strip recursion; the
-two routes cross-check each other in the tests.
+two routes cross-check each other in the tests.  Whether a Specht module
+occurs in a class module is decided from these exact characters
+(specht_occurs); the projected Young symmetrizers are the constructive
+witness, and the tests check the two against each other.
 """
 from __future__ import annotations
 
@@ -240,18 +243,13 @@ def specht_dimension(lam) -> int:
 
 
 @lru_cache(maxsize=None)
-def _sym_class(n: int, mu: tuple) -> ConjClass:
-    return symmetric_class(n, mu)
-
-
-@lru_cache(maxsize=None)
 def _fixed_counts(n: int, mu: tuple) -> tuple:
     """(nu, |C_nu|, |Z(g_nu) ∩ C_mu|) for every class nu of S_n, with g_nu
     cycling consecutive points; only C_mu is enumerated."""
     nus = list(partitions_of(n))
     reps = [Perm.from_cycles([range(e - k, e) for k, e in zip(nu, itertools.accumulate(nu))],
                              n).images for nu in nus]
-    fixes = _sym_class(n, mu).commuting_count(np.array(reps)).tolist()
+    fixes = symmetric_class(n, mu).commuting_count(np.array(reps)).tolist()
     return tuple((nu, class_size(n, nu), f) for nu, f in zip(nus, fixes))
 
 
@@ -273,48 +271,13 @@ def specht_multiplicity(lam, mu) -> int:
 
 # --------------------------------------------------------------- the theorems
 
-@lru_cache(maxsize=None)
-def _symmetrizer_arrays(T: Tableau):
-    """Image rows and signs of the symmetrizer terms, for batch conjugation."""
-    R, C = row_and_column_groups(T)
-    rows, signs = [], []
-    for s in C:
-        si = np.array(s.images, dtype=np.int32)
-        sg = s.sign
-        for t in R:
-            rows.append(si[np.array(t.images, dtype=np.int32)])
-            signs.append(sg)
-    return np.array(rows, dtype=np.int32), np.array(signs, dtype=np.int64)
-
-
-def _projected_vanishes(Q: "np.ndarray", signs: "np.ndarray", rep_images) -> bool:
-    """Whether sum_k signs[k] * (Q_k * rep * Q_k^-1) collapses to zero."""
-    conj = np.empty_like(Q)
-    np.put_along_axis(conj, Q, Q[:, np.array(rep_images)], axis=1)
-    _, inv = np.unique(conj, axis=0, return_inverse=True)
-    acc = np.zeros(inv.max() + 1, dtype=np.int64)
-    np.add.at(acc, inv, signs)
-    return not np.any(acc)
-
-
-def _symmetrizer_term_count(shape: Partition) -> int:
-    conj = shape.conjugate()
-    out = 1
-    for p in shape:
-        out *= factorial(p)
-    for q in conj:
-        out *= factorial(q)
-    return out
-
-
-def specht_occurs(lam: Partition, mu: Partition, cap: int = SPECHT_N_CAP,
-                  term_cap: int = SYMMETRIZER_TERM_CAP) -> bool:
+def specht_occurs(lam: Partition, mu: Partition, cap: int = SPECHT_N_CAP) -> bool:
     """Does S^lam occur in the conjugation module on the class of cycle type mu?
 
-    Tests project_to_class(c_T, C_mu) != 0 over standard tableaux T of shape
-    lam (row-reading first), with the projection evaluated in batch.  A shape
-    whose symmetrizer would exceed term_cap falls back to the exact character
-    computation.
+    Decided by the exact multiplicity <chi_{C C_mu}, chi^lam>
+    (specht_multiplicity).  The constructive witness, project_to_class(c_T,
+    C_mu) != 0 for some standard tableau T of shape lam, gives the same
+    answer and is its test oracle.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     mu = mu if isinstance(mu, Partition) else Partition(mu)
@@ -322,14 +285,7 @@ def specht_occurs(lam: Partition, mu: Partition, cap: int = SPECHT_N_CAP,
         raise ValueError("partitions must have the same size")
     if lam.n > cap:
         raise CapExceeded(f"n = {lam.n} exceeds the Specht cap {cap}")
-    if _symmetrizer_term_count(lam) > term_cap:
-        return specht_multiplicity(lam.parts, mu.parts) > 0
-    rep_images = _sym_class(lam.n, mu.parts).representative.images
-    for T in standard_tableaux(lam):
-        Q, signs = _symmetrizer_arrays(T)
-        if not _projected_vanishes(Q, signs, rep_images):
-            return True
-    return False
+    return specht_multiplicity(lam.parts, mu.parts) > 0
 
 
 def sign_rep_occurs(mu: Partition) -> bool:

@@ -1,9 +1,10 @@
 """The dense eigenspace decomposition, kept as the oracle for the orbital one.
 
 Every eigenspace of the |C|-dim form comes from a float `eigh` of the whole
-matrix, and the multiplicity of V_i in E_lam is the projector trace
-(1/|G|) sum_j |C_j| conj(chi_i(g_j)) tr(rho(g_j) E_lam), evaluated through
-the orthonormal eigenbasis and gated to integers within PROJECTOR_TOL.
+matrix (exactlinalg.spectrum), and the multiplicity of V_i in E_lam is the
+projector trace (1/|G|) sum_j |C_j| conj(chi_i(g_j)) tr(rho(g_j) E_lam),
+evaluated through the orthonormal eigenbasis and gated to integers within
+PROJECTOR_TOL.
 """
 import numpy as np
 
@@ -16,6 +17,7 @@ from killform.characters import (
     multiplicities,
 )
 from killform.errors import ElementNotInGroup, ProjectorMismatch
+from killform.exactlinalg import spectrum
 from killform.killing import KillingForm
 
 
@@ -40,7 +42,7 @@ def dense_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
     chars = np.array(T.chars, dtype=complex)
     entries = []
     totals = np.zeros(k, dtype=np.int64)
-    for e in K.spectrum():
+    for e in spectrum(K.matrix):
         U = e.vectors
         traces = np.array([(U[perm] * U).sum() for perm in perms])
         raw = (sizes * traces) @ chars.conj().T / G.order

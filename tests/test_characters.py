@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from decomposition_oracle import dense_decomposition
 from golden_survey import GROUP_SPECS
 from group_strategies import permutation_groups_up_to_degree_8
-from killform import characters, killing
+from killform import characters, exactlinalg, killing
 from killform.cli import cmd_survey, main
 
 from killform.characters import (
@@ -411,6 +411,20 @@ def test_first_rows_give_the_conjugation_character_multiplicities(spec):
         Pi = np.eye(len(orbital.w))
         m = (C.size / G.order * (X @ (orbital.first_rows / np.sqrt(orbital.w)) @ Pi[:, 0])).real
         assert m == pytest.approx(multiplicities(conjugation_character(G, C), T), abs=1e-9)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_orbital_spectrum_matches_the_dense_spectrum(spec):
+    G = build_named_group(spec)
+    for C in G.classes()[1:]:
+        K = killing_matrix(G, C)
+        got, want = K.spectrum(), exactlinalg.spectrum(K.matrix)
+        assert [(e.multiplicity, e.integral) for e in got] == \
+            [(e.multiplicity, e.integral) for e in want], C.label
+        scale = max(abs(e.value) for e in want)
+        for e, o in zip(got, want):
+            assert abs(e.value - o.value) <= exactlinalg.SPECTRUM_TOL * scale, (C.label, o.value)
+            assert e.vectors is None
 
 
 def test_an_integral_nullity_other_than_the_cluster_size_is_a_mismatch():

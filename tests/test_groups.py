@@ -493,6 +493,14 @@ def test_degree_above_65535_is_refused(monkeypatch):
         symmetric_class(70000, (2,))
 
 
+@pytest.mark.parametrize("spec", ["S70000", "A70000", "A70001"])
+def test_symmetric_and_alternating_refuse_a_wide_degree_before_any_generator(spec, monkeypatch):
+    monkeypatch.setattr(Perm, "from_cycles",
+                        lambda *args: pytest.fail(f"built a generator for {spec}"))
+    with pytest.raises(CapExceeded, match="is above the limit of 65535 points"):
+        build_named_group(spec)
+
+
 def test_centre():
     assert symmetric_group(3).centre() == [Perm.identity(3)]
     cyclic = generate_group([Perm.parse("(1,2,3,4)", 4)])

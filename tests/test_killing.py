@@ -12,7 +12,7 @@ from group_strategies import permutation_groups_up_to_degree_8
 from killform import characters, exactlinalg, killing
 from killform.characters import (CharTable, ClassFunction, character_table, multiplicities,
                                  roth_check)
-from killform.cli import cmd_survey, main
+from killform.cli import cmd_spectrogram, cmd_survey, main
 from killform.errors import (
     CapExceeded,
     ElementNotInGroup,
@@ -463,6 +463,33 @@ def test_a_class_form_without_its_group_fills_the_dense_form(dense_fills):
     K = analyze(killing_matrix(None, symmetric_class(5, (3, 1, 1))))
     assert (K.analysis.lambda_max, K.analysis.component_count) == (34, 1)
     assert dense_fills == [20]
+
+
+# ---------------------------------------------- the spectrum on the Z(g)-orbits
+
+@pytest.mark.parametrize("spec", ORBITAL_SPECS)
+def test_spectrogram_fills_no_dense_form(spec, dense_fills):
+    report = cmd_spectrogram(spec)
+    assert report.exit_code == 0 and not any(r[1].startswith("ERROR(") for r in report.rows)
+    assert dense_fills == []
+
+
+def test_a_non_integral_eigenspace_dimension_is_a_mismatch(monkeypatch):
+    eigenspaces = killing._OrbitalData.eigenspaces.func
+
+    def off(D):
+        clusters, Pi = eigenspaces(D)
+        Pi = Pi.copy()
+        Pi[0, 0] += 0.5 / D.w.sum()  # half a dimension more in the top eigenspace
+        return clusters, Pi
+
+    monkeypatch.setattr(killing._OrbitalData, "eigenspaces", property(off))
+    G = alternating_group(5)
+    with pytest.raises(ProjectorMismatch, match="eigenspace dimensions"):
+        killing_matrix(G, class_by_label(G, "3A")).spectrum()
+    report = cmd_spectrogram("A5")
+    assert report.exit_code == 4
+    assert report.rows == [[C.label, "ERROR(ProjectorMismatch)", ""] for C in G.classes()[1:]]
 
 
 # ------------------------------------------------------------------ A5 analyses
