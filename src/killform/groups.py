@@ -116,14 +116,22 @@ class BaseLocator:
         return self._walk((len(A), len(B)), (pos[A][:, B[:, beta]]
                                              for beta, pos in zip(self.base, self.positions)))
 
+    @cached_property
+    def _base_preimages(self) -> np.ndarray:
+        """h^-1(beta) for each base point beta (rows) and element h (columns),
+        in the row dtype; formed on the first `conjugates`."""
+        return np.array([np.argmax(self.arr == beta, axis=1) for beta in self.base],
+                        dtype=self.arr.dtype)
+
     def conjugates(self, X: np.ndarray, H: np.ndarray) -> np.ndarray:
-        """Row index of h x h^-1 for each row x of X and h of H, as a
-        (len(X), len(H)) array; as for `products`, every row must be an element.
-        Only the points h^-1(beta) of the base are inverted."""
-        cols = np.arange(len(H))
+        """Row index of h x h^-1 for each row x of X and h = arr[i], i in the
+        index array H, as a (len(X), len(H)) array; as for `products`, every
+        row of X must be an element.  Only the base images of h x h^-1 are
+        formed, h(x(h^-1(beta))), with h^-1(beta) read from _base_preimages."""
+        rows, cols = self.arr[H], np.arange(len(H))
         return self._walk((len(X), len(H)),
-                          (pos[H[cols, X[:, np.argmax(H == beta, axis=1)]]]
-                           for beta, pos in zip(self.base, self.positions)))
+                          (pos[rows[cols, X[:, pre[H]]]]
+                           for pos, pre in zip(self.positions, self._base_preimages)))
 
     def _walk(self, shape, columns) -> np.ndarray:
         """Row indices of the given shape, from the orbit positions of the base
@@ -313,7 +321,8 @@ def conjugacy_classes(G: Group) -> list[ConjClass]:
     """
     arr = G.arr
     gens = np.array([g.images for g in G.generators], dtype=arr.dtype).reshape(-1, G.degree)
-    conj = G.locator.conjugates(arr, gens).T
+    # each generator's row in arr, as the product g * e, from its base images
+    conj = G.locator.conjugates(arr, G.locator.products(gens, arr[:1])[:, 0]).T
     unseen = np.ones(G.order, dtype=bool)
     raw = []
     left, seed = G.order, 0

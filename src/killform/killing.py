@@ -336,19 +336,39 @@ class _OrbitalData:
     """A class form on the Z(g)-orbits O_1..O_r of C, g = x_1 the representative:
     first, the index in C of each orbit's first member x_s; orbit_of, the
     orbit of each member of C; w, the orbit sizes w_s; S = diag(w) L,
-    L[s,t] = sum over b in O_t of K[x_s, b]; the class sums
-    A[j][s, t] = #{h in C_j : h x_s h^-1 in O_t}, one r x r per class, formed
-    on first read; their first rows, first_rows[j, t] = A[j][0, t]; and the
-    eigensolve of the form on the orbits (eigenspaces), on first read."""
+    L[s,t] = sum over b in O_t of K[x_s, b]; tau[a, j] = #{h in C_j :
+    h g h^-1 = a} for each a in C; the first rows of the class sums,
+    first_rows[j, t] = A_j[0, t]; and the eigensolve of the form on the
+    orbits (eigenspaces), on first read.
 
-    def __init__(self, first: np.ndarray, orbit_of: np.ndarray, w: np.ndarray,
-                 S: np.ndarray, first_rows: np.ndarray, class_sums):
+    The class sums A_j[s, t] = #{h in C_j : h x_s h^-1 in O_t} are the sums
+    over b in O_t of tau[moved[s, b], j], with moved[s, b] the index in C of
+    c_s^-1 b c_s (formed on first read), so they are linear in tau's columns:
+    class_sum(u) = sum_j u[j] A_j is one r x r, formed from tau u alone.  All
+    k of them, A, are formed only for the tests."""
+
+    def __init__(self, first: np.ndarray, orbit_of: np.ndarray, w: np.ndarray, S: np.ndarray,
+                 tau: np.ndarray, first_rows: np.ndarray, starts: np.ndarray, conjugated):
         self.first, self.orbit_of, self.w, self.S = first, orbit_of, w, S
-        self.first_rows, self._class_sums = first_rows, class_sums
+        self.tau, self.first_rows, self.starts = tau, first_rows, starts
+        self._conjugated = conjugated
+
+    @cached_property
+    def moved(self) -> np.ndarray:
+        return self._conjugated()
+
+    def class_sum(self, u: np.ndarray) -> np.ndarray:
+        """sum_j u[j] A_j, reduced over the orbits a block of rows s at a time."""
+        values, moved = self.tau @ u, self.moved
+        out = np.empty((len(moved), len(self.starts)), dtype=np.int64)
+        step = max(1, _BLOCK_ENTRIES // moved.shape[1])
+        for s in range(0, len(moved), step):
+            out[s:s + step] = np.add.reduceat(values[moved[s:s + step]], self.starts, axis=1)
+        return out
 
     @cached_property
     def A(self) -> np.ndarray:
-        return self._class_sums()
+        return np.array([self.class_sum(u) for u in np.eye(self.tau.shape[1], dtype=np.int64)])
 
     @cached_property
     def eigenspaces(self) -> tuple[list[tuple[int, int, float, bool]], np.ndarray]:
@@ -361,9 +381,9 @@ class _OrbitalData:
 
 
 def _orbital_data(K: KillingForm) -> _OrbitalData | None:
-    """The orbital form, class sums and first rows of a class form with its
-    group; None where C is not a class of G, K does not commute with
-    conjugation, or S would not fit in int64.
+    """The orbital form, tau and first rows of a class form with its group;
+    None where C is not a class of G, K does not commute with conjugation, or
+    S would not fit in int64.
 
     Only the r rows of K at the x_s are read, r * |C| entries.  A form built
     from phi (killing_matrix) commutes with conjugation by construction:
@@ -373,11 +393,13 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
 
     One conjugation of g by all of G gives, for every a in C, the count
     tau[a, j] = #{h in C_j : h g h^-1 = a}, the centraliser Z(g) (the h with
-    h g h^-1 = g) and, for each orbit, c_s, the first h with h g h^-1 = x_s.
-    The first rows, A_j[0, t] = sum over b in O_t of tau[b, j], are summed at
-    once.  As h runs over C_j so does c_s^-1 h c_s, which takes x_s to b
-    exactly when it takes g to c_s^-1 b c_s, so A_j[s, t] = sum over b in O_t
-    of tau[c_s^-1 b c_s, j]: r * |C| conjugates, not r * |G|.
+    h g h^-1 = g) and t_a, the first h with h g h^-1 = a.  Every other
+    conjugate is then read off a product: y a y^-1 is the image of g under
+    y t_a, so the Z(g)-orbits come from the products Z(g) x C.  The first
+    rows, A_j[0, t] = sum over b in O_t of tau[b, j], are summed at once.
+    With c_s = t_{x_s}: as h runs over C_j so does c_s^-1 h c_s, which takes
+    x_s to b exactly when it takes g to c_s^-1 b c_s, so A_j[s, t] = sum over
+    b in O_t of tau[c_s^-1 b c_s, j]: r * |C| products, not r * |G|.
     """
     G, C = K.group, K.conj_class
     members = np.flatnonzero(G.class_map == G.class_index_of(C.representative))
@@ -391,39 +413,44 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
         M = K.matrix.data
         gens = np.array([h.images for h in G.generators], dtype=C.arr.dtype).reshape(-1, G.degree)
         step = max(1, _BLOCK_ENTRIES // C.size)
-        for perm in in_C[G.locator.conjugates(C.arr, gens)].T:
+        for perm in in_C[G.locator.conjugates(C.arr, G.locator.locate(gens))].T:
             for i in range(0, C.size, step):
                 if not np.array_equal(M[perm[i:i + step]].take(perm, axis=1), M[i:i + step]):
                     return None
 
     # the Z(g)-orbits, each labelled by its first member, and S on them
-    image = in_C[G.locator.conjugates(C.arr[:1], G.arr)[0]]  # h -> h g h^-1, in C
-    Z = G.arr[image == 0]
-    first, orbit_of, w = np.unique(in_C[G.locator.conjugates(C.arr, Z)].min(axis=1),
+    image = in_C[G.locator.conjugates(C.arr[:1], np.arange(G.order))[0]]  # h -> h g h^-1, in C
+    t = G.arr[np.unique(image, return_index=True)[1]]  # t[a], the first h with h g h^-1 = a
+    first, orbit_of, w = np.unique(image[G.locator.products(G.arr[image == 0], t)].min(axis=0),
                                    return_inverse=True, return_counts=True)
     orbit_of, r = orbit_of.ravel(), len(first)
     by_orbit = np.argsort(orbit_of, kind="stable")
     starts = np.searchsorted(orbit_of[by_orbit], np.arange(r))
-    rows = K.matrix.rows(first)
     # every row of K is a permutation of g's, the first of these
-    if C.size ** 2 * max(int(rows.max()), -int(rows.min())) >= 1 << 62:
+    g_row = K.matrix.rows(first[:1])
+    if C.size ** 2 * max(int(g_row.max()), -int(g_row.min())) >= 1 << 62:
         return None  # S would not fit in int64
-    S = w[:, None] * np.add.reduceat(rows[:, by_orbit], starts, axis=1)
+    step = max(1, _BLOCK_ENTRIES // C.size)
+    S = np.empty((r, r), dtype=np.int64)
+    for s in range(0, r, step):
+        rows = K.matrix.rows(first[s:s + step])
+        S[s:s + step] = np.add.reduceat(rows[:, by_orbit], starts, axis=1)
+    S *= w[:, None]
     if not np.array_equal(S, S.T):
         return None
     k = len(G.classes())
     tau = np.bincount(image * k + G.class_map, minlength=C.size * k).reshape(C.size, k)
 
-    def class_sums() -> np.ndarray:
-        c = G.arr[np.unique(image, return_index=True)[1][first]]
-        # row b (the members in orbit order) and column s: c_s^-1 b c_s, in C
-        moved = in_C[G.locator.conjugates(C.arr[by_orbit], np.argsort(c, axis=1).astype(c.dtype))]
-        A = np.empty((k, r, r), dtype=np.int64)
-        for j in range(k):
-            A[j] = np.add.reduceat(tau[:, j][moved], starts, axis=0).T
-        return A
+    def conjugated() -> np.ndarray:
+        # row s (c_s^-1 = t[x_s]^-1) and column b (the members in orbit order): c_s^-1 b c_s
+        inverses, members = np.argsort(t[first], axis=1).astype(t.dtype), t[by_orbit]
+        moved = np.empty((r, C.size), dtype=np.intp)
+        for s in range(0, r, step):
+            moved[s:s + step] = image[G.locator.products(inverses[s:s + step], members)]
+        return moved
 
-    return _OrbitalData(first, orbit_of, w, S, np.add.reduceat(tau[by_orbit], starts).T, class_sums)
+    return _OrbitalData(first, orbit_of, w, S, tau, np.add.reduceat(tau[by_orbit], starts).T,
+                        starts, conjugated)
 
 
 def _orbital_signature(K: KillingForm, seed: int = 0,
@@ -441,13 +468,21 @@ def _orbital_signature(K: KillingForm, seed: int = 0,
     of K[x_s, b], with inertia sum_i m_i * inertia(B_i).  A rational central
     idempotent e_O (characters.rational_idempotents) acts on the fixed
     vectors as E_O = (d/|G|) N_O, N_O = sum_j u[j] A_j with the class sums
-    A_j of _orbital_data (u is equal on h and h^-1), and on an integer basis
-    P of its image, P^T S P carries
-    the O-part scaled by m where K carries it scaled by d.  Each block counts
-    with the weight d/m, which is certified rather than read off the table:
-    it is a / rho with rho = tr E_O = sum_O m_i^2, a = tr e_O on CC =
+    A_j of _orbital_data (u is equal on h and h^-1), formed one at a time
+    from tau u (_OrbitalData.class_sum); their sum with the weights d must be
+    exactly |G| I.  On an integer basis P of its image (_image_basis), P^T S P
+    carries the O-part scaled by m where K carries it scaled by d.  Each block
+    counts with the weight d/m, which is certified rather than read off the
+    table: it is a / rho with rho = tr E_O = sum_O m_i^2, a = tr e_O on CC =
     sum_O d_i m_i and b = tr e_O on CG = sum_O d_i^2, and a^2 = b * rho
-    holds only when d_i / m_i is the same on all of O (Cauchy-Schwarz).
+    holds only when d_i / m_i is the same on all of O (Cauchy-Schwarz).  Here
+    a = (d/|G|) sum over h of u(h) #{x in C : hx = xh} = (d|C|/|G|) sum over
+    h in Z(g) of u(h), and the last sum is N_O[0, 0], as O_1 = {g}.
+
+    One rank certificate decides each block: P^T S P, nonsingular, has rank
+    rho, so the rho columns of P are independent and span the image of E_O
+    (an idempotent, whose rank is its trace).  Only where P^T S P is singular
+    is the rank of P certified apart (`_lift_nullspace`).
     """
     from . import characters  # it imports this module
 
@@ -460,57 +495,74 @@ def _orbital_signature(K: KillingForm, seed: int = 0,
     if orbital is None:
         return None
     S, r = orbital.S, len(orbital.w)
-
     degrees = [d for d, _ in idempotents]
-    U = np.array([u for _, u in idempotents])
-    if int(np.abs(U).max()) * G.order * max(degrees) * len(U) >= 1 << 62:
+    if max(int(np.abs(u).max()) for _, u in idempotents) * G.order * max(degrees) \
+            * len(degrees) >= 1 << 62:
         return None  # the sum of the d N_O would not fit in int64
-    N = np.tensordot(U, orbital.A, axes=1)
-    if not np.array_equal(np.tensordot(degrees, N, axes=1), G.order * np.eye(r, dtype=np.int64)):
-        return None  # the E_O do not sum to 1
-    phi = C.commuting_count(G.class_reps)
-    sizes = np.array([cl.size for cl in G.classes()], dtype=np.int64)
+    S_max, S_float = int(np.abs(S).max()), S.astype(np.float64)
     rng = random.Random(seed)
-    total = [0, 0, 0]
-    for d, u, N_O in zip(degrees, U, N):
+    total, unit = [0, 0, 0], np.zeros((r, r), dtype=np.int64)
+    for d, u in idempotents:
+        N_O = orbital.class_sum(u)
+        unit += d * N_O
         rho = Fraction(d * int(np.trace(N_O)), G.order)
         if rho == 0:
             continue
-        a = Fraction(d * int(u.astype(object) @ (sizes * phi)), G.order)
+        a = Fraction(d * C.size * int(N_O[0, 0]), G.order)
         if rho.denominator != 1 or a * a != d * int(u[0]) * rho:
             return None
-        P = _image_basis(N_O, int(rho), rng)
-        if P is None or int(np.abs(S).max()) * int(np.abs(P).sum(axis=0).max()) ** 2 >= 1 << 62:
-            return None  # no certified basis, or P^T S P would not fit in int64
-        part = [x * a / rho for x in signature(IntSymMatrix(P.T @ S @ P), seed=seed).astuple()]
+        P = _image_basis(N_O, int(rho))
+        if P is None:
+            return None
+        bound = S_max * int(np.abs(P).sum(axis=0).max()) ** 2
+        if bound >= 1 << 62:
+            return None  # P^T S P would not fit in int64
+        if bound < 1 << 53:  # every partial sum is an integer below 2^53: exact in float64
+            P_float = P.astype(np.float64)
+            block = (P_float.T @ (S_float @ P_float)).astype(np.int64)
+        else:
+            block = P.T @ S @ P
+        sig = signature(IntSymMatrix(block), seed=seed)
+        if sig.zero:
+            lifted = _lift_nullspace(P, rng)
+            if lifted is None or lifted[0] < rho:
+                return None
+        part = [x * a / rho for x in sig.astuple()]
         if any(x.denominator != 1 for x in part):
             return None
         total = [x + int(y) for x, y in zip(total, part)]
+    if not np.array_equal(unit, G.order * np.eye(r, dtype=np.int64)):
+        return None  # the E_O do not sum to 1
     return Signature(*total) if sum(total) == C.size else None
 
 
-def _image_basis(N: np.ndarray, rank: int, rng: random.Random) -> np.ndarray | None:
-    """rank columns of N that span its image, each divided by its content;
-    None if their rank over Q (`_lift_nullspace`) falls short or is unsettled.
+def _image_basis(N: np.ndarray, rank: int) -> np.ndarray | None:
+    """rank columns of N that should span its image, each divided by its
+    content; None when a pick has no residual left.  The caller certifies
+    that they do span it.
 
     The columns are picked in float as QR with column pivoting picks them
     (Businger and Golub 1965), the one with the largest residual each time,
     so that P^T S P is well conditioned and the float separation in
     `signature` decides; the raw columns of N are spread over many orders of
-    magnitude.  Their independence is then certified by `_lift_nullspace`.
+    magnitude.  The squared residuals are read off the Gram matrix N^T N by
+    pivoted Cholesky (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 10): one BLAS product, then O(r * rank) work per pick.
     """
-    R = N.astype(np.float64)
+    N_float = N.astype(np.float64)
+    gram = N_float.T @ N_float
+    residual = gram.diagonal().copy()
+    L = np.zeros((len(gram), rank))
     picked = []
-    for _ in range(rank):
-        norms = (R * R).sum(axis=0)
-        c = int(np.argmax(norms))
+    for i in range(rank):
+        c = int(np.argmax(residual))
+        if residual[c] <= 0:
+            return None
         picked.append(c)
-        q = R[:, c] / np.sqrt(norms[c])
-        R -= np.outer(q, q @ R)
+        L[:, i] = (gram[:, c] - L[:, :i] @ L[c, :i]) / np.sqrt(residual[c])
+        residual -= L[:, i] ** 2
+        residual[c] = 0  # not left above the others by rounding, to be picked again
     P = N[:, picked]
-    lifted = _lift_nullspace(P, rng)
-    if lifted is None or lifted[0] < rank:
-        return None
     return P // np.gcd.reduce(P, axis=0)
 
 

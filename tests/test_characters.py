@@ -391,12 +391,22 @@ def test_decompose_reads_no_class_sums(class_sum_reads, capsys):
     assert class_sum_reads == []
 
 
-def test_survey_reads_the_class_sums_once_per_orbital_signature(class_sum_reads):
-    # every nontrivial class of A5 has its signature decided on the orbits
-    cmd_survey("A5")
-    G = alternating_group(5)
-    assert class_sum_reads == [len(killing._orbital_data(killing_matrix(G, C)).w)
-                               for C in G.classes()[1:]]
+def test_survey_reads_no_class_sums(class_sum_reads):
+    # every nontrivial class of A5 has its signature decided on the orbits,
+    # from one sum of class sums per idempotent, formed from tau
+    report = cmd_survey("A5")
+    assert report.exit_code == 0 and class_sum_reads == []
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_class_sums_formed_from_tau_match_the_dense_class_sums(spec):
+    G = build_named_group(spec)
+    idempotents = characters.rational_idempotents(G)
+    for C in G.classes()[1:]:
+        orbital = killing._orbital_data(killing_matrix(G, C))
+        for _, u in idempotents:
+            assert np.array_equal(orbital.class_sum(u), np.tensordot(u, orbital.A, axes=1)), \
+                C.label
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from casimir_oracle import dense_casimir
 from group_strategies import permutation_groups_up_to_degree_8
-from killform import characters, exactlinalg, killing
+from killform import characters, cli, exactlinalg, killing
 from killform.characters import (CharTable, ClassFunction, character_table, multiplicities,
                                  roth_check)
 from killform.cli import cmd_spectrogram, cmd_survey, main
@@ -285,13 +285,14 @@ def _orbital_data_bruteforce(G, C):
     """The Z(g)-orbits of C and A_j[s, t] = #{h in C_j : h x_s h^-1 in O_t},
     from the centraliser and all r * |G| conjugates h x_s h^-1."""
     g = C.arr[0]
-    Z = G.arr[(G.arr[:, g] == g[G.arr]).all(axis=1)]
+    Z = np.flatnonzero((G.arr[:, g] == g[G.arr]).all(axis=1))
     in_C = np.full(G.order, -1, dtype=np.intp)
     in_C[G.locator.locate(C.arr)] = np.arange(C.size)
     label = in_C[G.locator.conjugates(C.arr, Z)].min(axis=1)  # each orbit's first member
     first, w = np.unique(label, return_counts=True)
     r, k = len(first), len(G.classes())
-    orbit = np.searchsorted(first, label)[in_C[G.locator.conjugates(C.arr[first], G.arr)]]
+    orbit = np.searchsorted(first, label)[in_C[G.locator.conjugates(C.arr[first],
+                                                                    np.arange(G.order))]]
     A = np.zeros((k, r, r), dtype=np.int64)
     for s in range(r):
         np.add.at(A, (G.class_map, s, orbit[s]), 1)
@@ -323,6 +324,64 @@ def test_survey_of_psu33_passes_no_class_sized_matrix(monkeypatch):
     assert report.exit_code == 0 and dims
     # the classes have 56 to 864 members; the largest orbital block has 50 rows
     assert max(dims) < min(int(row[1]) for row in report.rows)
+
+
+def _block_ranks(G, C):
+    """rho = tr E_O of each idempotent's block with rho > 0, in the order of
+    rational_idempotents, from the dense class sums."""
+    A = killing._orbital_data(killing_matrix(G, C)).A
+    ranks = [d * int(np.trace(np.tensordot(u, A, axes=1))) // G.order
+             for d, u in characters.rational_idempotents(G)]
+    return [rho for rho in ranks if rho]
+
+
+def test_survey_of_a5_eliminates_once_per_nonsingular_block(monkeypatch, eliminations):
+    G = build_named_group("A5")
+    expected = [(rho, rho) for C in G.classes()[1:] for rho in _block_ranks(G, C)]
+    monkeypatch.setattr(cli, "build_named_group", lambda spec, cap: G)  # its table is built
+    before = len(eliminations)
+    report = cmd_survey("A5")
+    assert report.exit_code == 0 and all(row[-1] == "true" for row in report.rows)
+    # the signature's rank certificate of each block, and no lift of its basis
+    assert eliminations[before:] == expected
+
+
+def test_a_singular_block_still_lifts_its_basis(monkeypatch):
+    G = build_named_group(f"file:{PSU33}")
+    K = killing_matrix(G, class_by_label(G, "4A"))
+    blocks, lifted = [], []
+    sig, lift = killing.signature, killing._lift_nullspace
+
+    def recording(M, seed=0):
+        result = sig(M, seed)
+        blocks.append((M.dim, result.zero))
+        return result
+
+    monkeypatch.setattr(killing, "signature", recording)
+    monkeypatch.setattr(killing, "_lift_nullspace",
+                        lambda P, rng: lifted.append(P.shape) or lift(P, rng))
+    result = killing._orbital_signature(K)
+    r = len(killing._orbital_data(K).w)
+    assert result == signature(K.matrix) and result.zero == 27
+    assert lifted == [(r, dim) for dim, zero in blocks if zero] and lifted
+
+
+def test_a_dependent_pick_falls_back_to_the_dense_route(monkeypatch, dense_fills):
+    expected = cmd_survey("A5").render("md")
+    image_basis = killing._image_basis
+
+    def dependent(N, rank):
+        P = image_basis(N, rank)
+        if P is not None and rank > 1:
+            P[:, -1] = P[:, 0]
+        return P
+
+    monkeypatch.setattr(killing, "_image_basis", dependent)
+    G = alternating_group(5)
+    C = class_by_label(G, "3A")
+    assert max(_block_ranks(G, C)) > 1
+    assert killing._orbital_signature(killing_matrix(G, C)) is None
+    assert cmd_survey("A5").render("md") == expected and dense_fills
 
 
 def _off_by_one(chars):

@@ -9,7 +9,7 @@ import pytest
 
 from golden_survey import (GOLDEN, GROUP_ORDERS, GROUP_SPECS,
                            computed_multiset, expected_multiset)
-from killform import killing
+from killform import exactlinalg, killing
 from killform.cli import cmd_survey
 from killform.groups import build_named_group
 
@@ -49,3 +49,14 @@ def test_every_fixture_class_takes_the_orbital_route(name):
 def test_survey_fills_no_dense_form(name, dense_fills):
     assert cmd_survey(GROUP_SPECS[name]).exit_code == 0
     assert dense_fills == []
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_survey_signatures_take_no_exact_inertia(name, monkeypatch):
+    # the float separation in `signature` decides every block: the columns
+    # that _image_basis picks keep P^T S P well conditioned
+    calls, ldlt = [], exactlinalg._exact_inertia_ldlt
+    monkeypatch.setattr(exactlinalg, "_exact_inertia_ldlt",
+                        lambda M: calls.append(M.dim) or ldlt(M))
+    assert cmd_survey(GROUP_SPECS[name]).exit_code == 0
+    assert calls == []
