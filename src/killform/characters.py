@@ -2,14 +2,15 @@
 decompositions of Killing forms into irreducibles.
 
 The table is computed exactly modulo a prime p with exponent(G) | p-1 and
-p > 2*sqrt(|G|): the class-multiplication matrices commute, their common
-eigenvectors are the central characters mod p, degrees come from the first
-orthogonality relation mod p, and values are lifted to C by the discrete
-Fourier sum over root-of-unity multiplicities (which are small non-negative
-integers, so the modular shadow determines them).  Everything that leaves the
-module is validated against both orthogonality relations.  The rational
-central idempotents of QG, one per Galois orbit of irreducibles, are proposed
-by the table and then checked exactly in the class algebra
+p > 2*sqrt(|G|): the class-multiplication matrices commute, and one random
+combination of them splits off their common eigenvectors, the central
+characters mod p (single class matrices re-split where it collides); degrees
+come from the first orthogonality relation mod p, and values are lifted to C
+by the discrete Fourier sum over root-of-unity multiplicities (small
+non-negative integers, so the modular shadow determines them).  Everything
+that leaves the module is validated against both orthogonality relations.
+The rational central idempotents of QG, one per Galois orbit of irreducibles,
+are proposed by the table and then checked exactly in the class algebra
 (`rational_idempotents`); the class-form signature is decided with them.  The
 eigenspace decomposition runs on the Z(g)-orbits of the class, an r x r
 eigenproblem with r = sum of m_i^2, instead of on the |C|-dim module, and
@@ -20,6 +21,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import random
 import weakref
 from dataclasses import dataclass, field
 
@@ -202,15 +204,6 @@ def _poly_trim(f: list[int]) -> list[int]:
     return f
 
 
-def _poly_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_divmod(out, mod, p)[1]
-
-
 def _poly_divmod(a, b, p):
     """Quotient and remainder of a by b over GF(p), coefficients from degree 0
     up; b[-1] must be nonzero.  The remainder has degree below deg b, and is
@@ -230,17 +223,6 @@ def _poly_divmod(a, b, p):
     return _poly_trim(q), _poly_trim(r or [0])
 
 
-def _poly_powmod(base, e, mod, p):
-    result = [1]
-    base = _poly_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
 def _poly_gcd(a, b, p):
     a, b = _poly_trim(list(a)), _poly_trim(list(b))
     while b != [0]:
@@ -249,129 +231,142 @@ def _poly_gcd(a, b, p):
     return [c * inv % p for c in a]
 
 
-def _poly_roots(f, p: int, rng) -> list[int]:
-    """Distinct roots in GF(p) of f (all our polynomials split completely)."""
-    f = _poly_trim(list(f))
-    xp = _poly_powmod([0, 1], p, f, p)
-    xp_minus_x = list(xp) + [0] * (max(0, 2 - len(xp)))
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _poly_gcd(_poly_trim(xp_minus_x), f, p)
-    roots: list[int] = []
-    _split_distinct(g, p, rng, roots)
-    return sorted(roots)
+def _powers_mod(shifts, exponents, f: list[int], p: int) -> np.ndarray:
+    """(x + a)^e mod the monic f over GF(p), for each a in shifts and e in
+    exponents, one row of d = deg f coefficients (degree 0 up) each.
+
+    All rows are raised at once, left to right by the bits of e, so the cost
+    grows with log p, not p: a squaring sums the coefficient products by
+    degree and reduces the top d - 1 sums with `red`, whose row i is
+    x^(d+i) mod f; a product with x + a is a shift."""
+    d, n = len(f) - 1, len(shifts)
+    low = np.array(f[:d], dtype=np.int64)
+    red = [-low % p]  # x^d mod f, then x times the row before, its x^d term reduced
+    while len(red) < d - 1:
+        red.append((np.concatenate(([0], red[-1][:-1])) - red[-1][-1] * low) % p)
+    red = np.array(red[:d - 1]).reshape(d - 1, d)
+    # the product of coefficients i and j of row t is summed at t(2d - 1) + i + j
+    bins = (np.arange(n)[:, None, None] * (2 * d - 1)
+            + np.add.outer(np.arange(d), np.arange(d))).ravel()
+    shifts = np.array(shifts, dtype=np.int64)[:, None]
+    R = np.repeat(np.eye(1, d, dtype=np.int64), n, axis=0)  # each row is 1
+    for i in range(max(exponents).bit_length() - 1, -1, -1):
+        # each product is reduced below p first, so the float sums are exact
+        prod = np.bincount(bins, weights=(R[:, :, None] * R[:, None, :] % p).ravel())
+        prod = prod.astype(np.int64).reshape(n, 2 * d - 1) % p
+        R = (prod[:, :d] + _matmul_mod(prod[:, d:], red, p)) % p
+        shifted = np.concatenate([np.zeros_like(R[:, :1]), R[:, :-1]], axis=1)
+        times = (shifted + shifts * R % p - R[:, -1:] * low) % p
+        R = np.where([[e >> i & 1] for e in exponents], times, R)
+    return R
 
 
-def _split_distinct(g, p: int, rng, out: list[int]) -> None:
-    g = _poly_trim(list(g))
-    deg = len(g) - 1
-    if deg == 0:
-        return
-    if deg == 1:
-        out.append((-g[0]) * pow(g[1], p - 2, p) % p)
-        return
-    if g[0] == 0:
-        out.append(0)
-        _split_distinct(_poly_trim(g[1:]), p, rng, out)
-        return
-    while True:
-        a = rng.randrange(p)
-        h = _poly_powmod([a, 1], (p - 1) // 2, g, p)
-        h = list(h)
-        h[0] = (h[0] - 1) % p
-        d = _poly_gcd(_poly_trim(h), g, p)
-        if 0 < len(d) - 1 < deg:
-            _split_distinct(d, p, rng, out)
-            _split_distinct(_poly_divmod(g, d, p)[0], p, rng, out)
-            return
+def _poly_roots(f: list[int], p: int, rng) -> list[int]:
+    """The distinct roots in GF(p) of the monic f, in increasing order.
+
+    g = gcd(x^p - x, f) is the product of x - r over them, and Cantor-
+    Zassenhaus splits it: gcd((x + a)^((p-1)/2) - 1, q) keeps the roots r of
+    a factor q of g with r + a a nonzero square, so a random a splits q
+    unless all its roots fall on one side.  The powers are formed mod f by
+    `_powers_mod`, for a batch of random a at a time (x^p with the first)."""
+    half, batch = (p - 1) // 2, 2 * len(f).bit_length() + 4
+    powers = _powers_mod([0] + [rng.randrange(p) for _ in range(batch)],
+                         [p] + [half] * batch, f, p).tolist()
+    xp = powers.pop(0) + [0]
+    xp[1] = (xp[1] - 1) % p
+    pieces = [_poly_gcd(xp, f, p)]
+    while any(len(q) > 2 for q in pieces):
+        if not powers:
+            powers = _powers_mod([rng.randrange(p) for _ in range(batch)], [half] * batch,
+                                 f, p).tolist()
+        h, nxt = powers.pop(), []
+        for q in pieces:
+            if len(q) > 2:
+                s = _poly_divmod(h, q, p)[1]
+                s[0] = (s[0] - 1) % p
+                s = _poly_gcd(s, q, p)
+                if 1 < len(s) < len(q):
+                    nxt += [s, _poly_divmod(q, s, p)[0]]
+                    continue
+            nxt.append(q)
+        pieces = nxt
+    return sorted(-q[0] % p for q in pieces if len(q) == 2)
 
 
-def _charpoly_mod(R: np.ndarray, p: int) -> list[int]:
-    """det(xI - R) mod p via Hessenberg reduction (similarity transforms)."""
-    n = R.shape[0]
-    H = [[int(v) % p for v in row] for row in R]
-    for c in range(n - 2):
-        piv = next((r for r in range(c + 1, n) if H[r][c]), None)
-        if piv is None:
-            continue
-        if piv != c + 1:
-            H[piv], H[c + 1] = H[c + 1], H[piv]
-            for row in H:
-                row[piv], row[c + 1] = row[c + 1], row[piv]
-        inv = pow(H[c + 1][c], p - 2, p)
-        for r in range(c + 2, n):
-            f = H[r][c] * inv % p
-            if f:
-                Hc1 = H[c + 1]
-                Hr = H[r]
-                for j in range(n):
-                    Hr[j] = (Hr[j] - f * Hc1[j]) % p
-                for row in H:
-                    row[c + 1] = (row[c + 1] + f * row[r]) % p
-    # p_m(x) = (x - H[m-1][m-1]) p_{m-1} - sum_i H[i][m-1] (prod_j H[j][j-1]) p_i
-    polys = [[1]]
-    for m in range(1, n + 1):
-        hmm = H[m - 1][m - 1]
-        prev = polys[m - 1]
-        cur = [(-hmm * prev[0]) % p] + [
-            (prev[j - 1] - hmm * prev[j]) % p if j < len(prev) else prev[j - 1] % p
-            for j in range(1, m + 1)
-        ]
-        prod = 1
-        for i in range(m - 2, -1, -1):
-            prod = prod * H[i + 1][i] % p
-            term = H[i][m - 1] * prod % p
-            if term:
-                for j, cj in enumerate(polys[i]):
-                    cur[j] = (cur[j] - term * cj) % p
-        polys.append(cur)
-    return polys[n]
+def _cyclic(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """K[:, t] = M^t e_0 for t <= k = len(M), and f, the monic minimal
+    polynomial of e_0 under M: its coefficients are the nullspace vector of K
+    at the first column that depends on those before it."""
+    K = np.eye(len(M), len(M) + 1, dtype=np.int64)  # column 0 is e_0
+    for t in range(len(M)):
+        K[:, t + 1] = _matmul_mod(M, K[:, t:t + 1], p)[:, 0]
+    rank, _, N = _eliminate(K, p)
+    return K, N[:rank + 1, 0].tolist()
 
 
-def _restricted_action(Mi: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """R with Mi @ B = B @ R (mod p); B has full column rank and Mi-invariant image."""
-    r = B.shape[1]
-    rank, pivots, N = _eliminate(np.concatenate([B, _matmul_mod(Mi, B, p)], axis=1), p)
-    if rank != r or pivots != list(range(r)):
-        raise OrthogonalityFailure("subspace basis degenerated during splitting")
-    return -N[:r] % p  # N = [-R; I] spans the nullspace of [B | Mi B]
+def _eigenlines(K: np.ndarray, f: list[int], roots: list[int], p: int) -> list[np.ndarray]:
+    """The eigenvectors of M, for K, f = `_cyclic(M, p)` with f = prod (x - lam)
+    over the k distinct eigenvalues lam of M, its roots.
+
+    q = f / (x - lam) is 0 at the other roots and not at lam, so q(M) e_0 =
+    K q is a multiple of e_0's part along the eigenvector of lam, not zero
+    where e_0 has one.  Column i of Q is f / (x - lam_i), by synthetic division."""
+    lam = np.array(roots, dtype=np.int64)
+    Q = np.ones((len(roots), len(roots)), dtype=np.int64)
+    for t in range(len(roots) - 1, 0, -1):
+        Q[t - 1] = (f[t] + lam * Q[t]) % p
+    return list(_matmul_mod(K[:, :len(roots)], Q, p).T[:, :, None])
 
 
-def _common_eigenvectors(Ms: list[np.ndarray], p: int, seed: int = 0xD1C0) -> list[np.ndarray]:
-    import random
+def _split(B: np.ndarray, M: np.ndarray, roots: list[int], p: int) -> list[np.ndarray]:
+    """The pieces B N of B, N spanning the nullspace of (M - lam) B for each
+    root lam where it is not zero; B spans an M-invariant space."""
+    if B.shape[1] == 1 or len(roots) <= 1:
+        return [B]
+    eye = np.eye(len(M), dtype=np.int64)
+    nulls = (_eliminate(_matmul_mod(M - lam * eye, B, p), p)[2] for lam in roots)
+    return [_matmul_mod(B, N, p) for N in nulls if N.shape[1]]
 
+
+def _combination(Ms: list[np.ndarray], p: int, rng) -> np.ndarray:
+    """sum_i c_i M_i mod p, each c_i drawn from GF(p) by rng."""
+    c = np.array([[rng.randrange(p) for _ in Ms]], dtype=np.int64)
+    return _matmul_mod(c, np.reshape(Ms, (len(Ms), -1)), p).reshape(Ms[0].shape)
+
+
+def _common_eigenvectors(Ms: list[np.ndarray], p: int, seed: int = 0xD1C0) -> np.ndarray:
+    """The common eigenvectors over GF(p) of the commuting class matrices Ms,
+    as rows scaled to 1 on the identity class: the central characters mod p.
+
+    One random combination M = sum_i c_i M_i splits the class algebra: it is
+    sum_i c_i omega(M_i) on the eigenvector of the central character omega,
+    so its eigenvectors are the k lines (`_eigenlines`, no elimination) unless
+    two of these values collide, with probability at most C(k, 2) / p.  Then
+    its eigenspaces are split again by each M_i in turn, which ends in lines
+    as the central characters differ on some M_i.  The eigenvalues are the
+    roots of the minimal polynomial of e_0, which has a part along every line
+    (the identity is the sum of the primitive central idempotents)."""
     rng = random.Random(seed)
     k = Ms[0].shape[0]
-    spaces: list[np.ndarray] = [np.eye(k, dtype=np.int64)]
+    M = _combination(Ms, p, rng)
+    K, f = _cyclic(M, p)
+    roots = _poly_roots(f, p, rng)
+    if len(roots) == k:
+        spaces = _eigenlines(K, f, roots, p)
+    else:
+        spaces = _split(np.eye(k, dtype=np.int64), M, roots, p)
     for Mi in Ms:
         if all(S.shape[1] == 1 for S in spaces):
             break
-        nxt: list[np.ndarray] = []
-        for B in spaces:
-            if B.shape[1] == 1:
-                nxt.append(B)
-                continue
-            R = _restricted_action(Mi, B, p)
-            roots = _poly_roots(_charpoly_mod(R, p), p, rng)
-            if len(roots) <= 1:
-                nxt.append(B)
-                continue
-            for lam in roots:
-                shifted = (R - lam * np.eye(R.shape[0], dtype=np.int64)) % p
-                N = _eliminate(shifted, p)[2]
-                if N.shape[1]:
-                    nxt.append(_matmul_mod(B, N, p))
-        spaces = nxt
+        roots = _poly_roots(_cyclic(Mi, p)[1], p, rng)
+        spaces = [piece for B in spaces for piece in _split(B, Mi, roots, p)]
     if any(S.shape[1] != 1 for S in spaces) or len(spaces) != k:
         raise OrthogonalityFailure(
             f"class algebra split into {len(spaces)} pieces, expected {k}")
-    out = []
-    for S in spaces:
-        v = np.mod(S[:, 0].astype(np.int64), p)
-        if v[0] % p == 0:
-            raise OrthogonalityFailure("central character vanishes on the identity class")
-        inv = pow(int(v[0]), p - 2, p)
-        out.append((v * inv) % p)
-    return out
+    V = np.hstack(spaces).T % p
+    if not V[:, 0].all():
+        raise OrthogonalityFailure("central character vanishes on the identity class")
+    return V * np.array([[pow(v, -1, p)] for v in V[:, 0].tolist()], dtype=np.int64) % p
 
 
 # --------------------------------------------------------------- Dixon proper
@@ -423,58 +418,50 @@ def character_table(G: Group, cap: int = CLASS_CAP) -> CharTable:
                          provenance=f"dixon({G.name or 'trivial'})")
     n = G.exponent()
     p = _find_prime(n, G.order)
-    Ms = _class_mult_matrices(G)
-    vecs = _common_eigenvectors([M % p for M in Ms], p)
+    V = _common_eigenvectors([M % p for M in _class_mult_matrices(G)], p)
 
-    orders = [c.element_order for c in classes]
     power_class = _power_classes(G)
     dual_class = [pc[-1] for pc in power_class]  # g_j^-1 = g_j^(|g_j| - 1)
-    inv_sizes = [pow(s, p - 2, p) for s in sizes]
-    order_mod = G.order % p
+    inv_sizes = np.array([pow(s, -1, p) for s in sizes], dtype=np.int64)
+    norms = (V * V[:, dual_class] % p * inv_sizes % p).sum(axis=1) % p
     isq = math.isqrt(G.order)
-    rows = []
-    for v in vecs:
-        S = 0
-        for j in range(k):
-            S = (S + int(v[j]) * int(v[dual_class[j]]) % p * inv_sizes[j]) % p
+    degrees = []
+    for S in norms.tolist():
         if S == 0:
             raise OrthogonalityFailure("degenerate norm for a central character")
-        dd = order_mod * pow(S, p - 2, p) % p
+        dd = G.order * pow(S, -1, p) % p
         deg = next((d for d in range(1, isq + 1) if d * d % p == dd), None)
         if deg is None:
             raise OrthogonalityFailure(f"no degree d <= sqrt|G| with d^2 = {dd} mod {p}")
-        chi_mod = [deg * int(v[j]) % p * inv_sizes[j] % p for j in range(k)]
-        rows.append((deg, chi_mod))
-    if sum(d * d for d, _ in rows) != G.order:
+        degrees.append(deg)
+    if sum(d * d for d in degrees) != G.order:
         raise OrthogonalityFailure(
-            f"degree squares sum to {sum(d * d for d, _ in rows)}, not |G| = {G.order}")
+            f"degree squares sum to {sum(d * d for d in degrees)}, not |G| = {G.order}")
+    deg_col = np.array(degrees, dtype=np.int64)[:, None]
+    chi_mod = deg_col * V % p * inv_sizes % p
 
-    w = _least_primitive_root(p)
-    z = pow(w, (p - 1) // n, p)
-    chars = []
-    for deg, chi_mod in rows:
-        vals = []
-        for j in range(k):
-            nj = orders[j]
-            zj = pow(z, n // nj, p)
-            zj_inv = pow(zj, p - 2, p)
-            inv_nj = pow(nj, p - 2, p)
+    # chi(g_j) = sum_s c_s zeta^s over the |g_j|-th roots of unity zeta^s:
+    # c_s = (1/|g_j|) sum_t chi(g_j^t) z_j^(-st) with z_j of order |g_j| mod
+    # p, for every row at once
+    z = pow(_least_primitive_root(p), (p - 1) // n, p)
+    vals = [[] for _ in degrees]
+    for j, pc in enumerate(power_class):
+        nj = len(pc)
+        inv_nj = pow(nj, -1, p)
+        fourier = np.array([pow(z, -(n // nj) * e, p) * inv_nj % p for e in range(nj)],
+                           dtype=np.int64)[np.outer(np.arange(nj), np.arange(nj)) % nj]
+        counts = _matmul_mod(chi_mod[:, pc], fourier, p)
+        if (counts > deg_col).any():
+            raise OrthogonalityFailure(
+                f"a root-of-unity multiplicity on class {labels[j]} exceeds its degree")
+        roots = [cmath.exp(2j * cmath.pi * s / nj) for s in range(nj)]
+        for row, c in zip(vals, counts.tolist()):
             val = 0j
-            for s in range(nj):
-                c_s = 0
-                zpow = pow(zj_inv, s, p)
-                acc = 1
-                for t in range(nj):
-                    c_s = (c_s + chi_mod[power_class[j][t]] * acc) % p
-                    acc = acc * zpow % p
-                c_s = c_s * inv_nj % p
-                if c_s > deg:
-                    raise OrthogonalityFailure(
-                        f"root-of-unity multiplicity {c_s} exceeds degree {deg} during lift")
+            for c_s, root in zip(c, roots):
                 if c_s:
-                    val += c_s * cmath.exp(2j * cmath.pi * s / nj)
-            vals.append(val)
-        chars.append((deg, vals))
+                    val += c_s * root
+            row.append(val)
+    chars = list(zip(degrees, vals))
 
     def fingerprint(vals):
         return tuple((round(v.real, 8), round(v.imag, 8)) for v in vals)

@@ -123,13 +123,14 @@ class BaseLocator:
         return np.array([np.argmax(self.arr == beta, axis=1) for beta in self.base],
                         dtype=self.arr.dtype)
 
-    def conjugates(self, X: np.ndarray, H: np.ndarray) -> np.ndarray:
+    def conjugates(self, X: np.ndarray, H=slice(None)) -> np.ndarray:
         """Row index of h x h^-1 for each row x of X and h = arr[i], i in the
-        index array H, as a (len(X), len(H)) array; as for `products`, every
-        row of X must be an element.  Only the base images of h x h^-1 are
-        formed, h(x(h^-1(beta))), with h^-1(beta) read from _base_preimages."""
-        rows, cols = self.arr[H], np.arange(len(H))
-        return self._walk((len(X), len(H)),
+        index array H (all of G by default, read in place), as a (len(X), |H|)
+        array; as for `products`, every row of X must be an element.  Only the
+        base images h(x(h^-1(beta))) are formed, h^-1(beta) from _base_preimages."""
+        rows = self.arr[H]
+        cols = np.arange(len(rows))
+        return self._walk((len(X), len(rows)),
                           (pos[rows[cols, X[:, pre[H]]]]
                            for pos, pre in zip(self.positions, self._base_preimages)))
 

@@ -22,6 +22,7 @@ decides the rest and stays the test oracle.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -294,6 +295,10 @@ def _class_sum_gram(G: Group) -> IntSymMatrix:
     return IntSymMatrix(sizes[:, None] * np.add.reduceat(values[:, by_class], starts, axis=1))
 
 
+# group -> Roth's property, decided with the first call's seed; dropped with the group
+_ROTH: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _roth_holds(G: Group, seed: int = 0) -> bool:
     """Roth's property, decided exactly: every irrep of G occurs in the
     conjugation representation on CG.
@@ -306,8 +311,10 @@ def _roth_holds(G: Group, seed: int = 0) -> bool:
     idempotents are eigenvectors of L, so S = Ind^T F Ind is nonsingular
     exactly when every m_i > 0.
     """
-    S = _class_sum_gram(G)
-    return exact_rank(S, seed=seed) == S.dim
+    if G not in _ROTH:
+        S = _class_sum_gram(G)
+        _ROTH[G] = exact_rank(S, seed=seed) == S.dim
+    return _ROTH[G]
 
 
 def _universal_signature(K: KillingForm, seed: int = 0) -> Signature | None:
@@ -419,7 +426,7 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
                     return None
 
     # the Z(g)-orbits, each labelled by its first member, and S on them
-    image = in_C[G.locator.conjugates(C.arr[:1], np.arange(G.order))[0]]  # h -> h g h^-1, in C
+    image = in_C[G.locator.conjugates(C.arr[:1])[0]]  # h -> h g h^-1, in C
     t = G.arr[np.unique(image, return_index=True)[1]]  # t[a], the first h with h g h^-1 = a
     first, orbit_of, w = np.unique(image[G.locator.products(G.arr[image == 0], t)].min(axis=0),
                                    return_inverse=True, return_counts=True)

@@ -1,5 +1,6 @@
 """Character tables and eigenspace decompositions against textbook values."""
 import cmath
+import random
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from decomposition_oracle import dense_decomposition
 from golden_survey import GROUP_SPECS
 from group_strategies import permutation_groups_up_to_degree_8
+from table_oracle import oracle_table
 from killform import characters, exactlinalg, killing
 from killform.cli import cmd_survey, main
 
@@ -44,7 +46,7 @@ from killform.groups import (
     generate_group,
     symmetric_group,
 )
-from killform.killing import analyze, killing_matrix
+from killform.killing import analyze, killing_matrix, universal_killing
 from killform.perms import Perm
 
 
@@ -141,6 +143,70 @@ def test_prime_search():
         _find_prime(6, 6, limit=7)
 
 
+# ------------------------------------------- the tables against their oracle
+
+# name -> spec: S3-S8, A4-A8, the fifteen groups of the golden survey, and
+# PSL(2,47), whose table prime 181609 is the largest among PSL(2,q), q <= 53
+TABLE_ORACLE_SPECS = {**{f"{family}{n}": f"{family}{n}" for family, ns in
+                         (("S", range(3, 9)), ("A", range(4, 9))) for n in ns},
+                      **GROUP_SPECS, "PSL(2,47)": "PSL(2,47)"}
+
+
+def _bits(T):
+    """Everything the table states, its values as the hex of their floats."""
+    return (T.degrees, T.class_labels, T.irrep_labels, T.provenance,
+            [[(v.real.hex(), v.imag.hex()) for v in row] for row in T.chars])
+
+
+@pytest.mark.parametrize("name", TABLE_ORACLE_SPECS)
+def test_table_is_bitwise_the_per_class_matrix_oracle(name):
+    G = build_named_group(TABLE_ORACLE_SPECS[name])
+    assert _bits(character_table(G)) == _bits(oracle_table(G))
+
+
+@pytest.mark.parametrize("combination", ["zero", "one class matrix"])
+@pytest.mark.parametrize("name", ["A5", "PSL(2,17)", "M11"])
+def test_a_colliding_combination_is_split_again_by_the_class_matrices(name, combination,
+                                                                       monkeypatch):
+    G = build_named_group(GROUP_SPECS[name])
+    lines, eigenlines = [], characters._eigenlines
+    monkeypatch.setattr(characters, "_combination",
+                        lambda Ms, p, rng: 0 * Ms[0] if combination == "zero" else Ms[1])
+    monkeypatch.setattr(characters, "_eigenlines",
+                        lambda *args: lines.append(args) or eigenlines(*args))
+    assert _bits(character_table(G)) == _bits(oracle_table(G))
+    assert lines == []  # the combination left a piece wider than a line
+
+
+def test_psl2_17_table_runs_one_elimination(eliminations):
+    G = build_named_group("PSL(2,17)")
+    k = len(G.classes())
+    T = character_table(G)
+    # the Krylov matrix [e_0, M e_0, ..., M^k e_0] of the combination, and no
+    # other: splitting one class matrix at a time took 34 eliminations
+    assert (k, len(T.degrees)) == (11, 11)
+    assert len(eliminations) <= 2 * k
+    assert eliminations == [(k, k + 1)]
+
+
+def _poly_product(factors, p):
+    f = [1]
+    for g in factors:
+        f = _poly_mul(f, g, p)
+    return f
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([7, 61, 3673, 181609, 2**31 - 1]), st.data())
+def test_poly_roots_are_the_distinct_roots_in_gf_p(p, data):
+    roots = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=14))
+    # and a factor x^2 - c, c not a square mod p, with no roots in GF(p)
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    f = _poly_product([[-r % p, 1] for r in roots] + [[-c % p, 0, 1]], p)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    assert characters._poly_roots(f, p, rng) == sorted(set(roots))
+
+
 # ---------------------------------------------------------- conjugation chars
 
 def test_conjugation_character_s3():
@@ -224,6 +290,17 @@ def test_roth_raises_when_the_table_disagrees_with_the_exact_verdict(name, monke
     monkeypatch.setattr(characters, "_roth_holds", lambda G: not holds)
     with pytest.raises(OrthogonalityFailure, match="disagree with the exact verdict"):
         roth_check(G)
+
+
+def test_roth_is_decided_once_per_group(monkeypatch):
+    G = build_named_group("PSL(2,17)")
+    ranks = []
+    exact_rank = killing.exact_rank
+    monkeypatch.setattr(killing, "exact_rank",
+                        lambda M, seed=0: ranks.append(M.dim) or exact_rank(M, seed=seed))
+    analyze(universal_killing(G), seed=7)
+    assert roth_check(G)[0]
+    assert ranks == [len(G.classes())]  # the class-sum Gram, once
 
 
 def test_roth_trivial_multiplicity_counts_classes():

@@ -297,6 +297,18 @@ def test_product_indices_match_index_of_products(spec):
     assert got.tolist() == want
 
 
+@pytest.mark.parametrize("spec", LOCATOR_GROUPS)
+def test_conjugates_read_all_of_g_by_default(spec):
+    g = _group(spec)
+    X = g.arr[np.random.default_rng(1).integers(g.order, size=5)]
+    # h x h^-1 takes beta to h(x(h^-1(beta))), row h of take_along_axis
+    inverses = np.argsort(g.arr, axis=1)
+    want = np.array([g.locator.locate(np.take_along_axis(g.arr, x[inverses], axis=1)) for x in X])
+    assert np.array_equal(g.locator.conjugates(X), want)
+    some = np.array([g.order - 1, 0, g.order // 2])
+    assert np.array_equal(g.locator.conjugates(X, some), want[:, some])
+
+
 @pytest.mark.parametrize("spec", LOCATOR_GROUPS[1:])
 def test_locator_rejects_rows_outside_the_group(spec):
     g = _group(spec)
