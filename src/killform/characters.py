@@ -24,6 +24,7 @@ import math
 import random
 import weakref
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,16 +37,31 @@ from .errors import (
     OrthogonalityFailure,
     ProjectorMismatch,
 )
-from .exactlinalg import IntSymMatrix, _eliminate, _is_prime, _matmul_mod, exact_rank
+from .exactlinalg import (
+    IntSymMatrix,
+    _eliminate,
+    _is_prime,
+    _matmul_mod,
+    _verify_integer_nullspace,
+    exact_rank,
+    random_prime_22,
+    rank_mod_p,
+)
 from .gf import _least_primitive_root
 from .groups import ConjClass, Group
-from .killing import KillingForm, _orbital_data, _roth_holds
+from .killing import KillingForm, _orbital_data, _pivot_columns, _roth_holds
 
 CLASS_CAP = 64
 ORTHOGONALITY_TOL = 1e-8
 INTEGER_TOL = 1e-6
 PROJECTOR_TOL = 1e-4
 PRIME_SEARCH_LIMIT = 2**31
+# a float eigenvector is rationalised over denominators up to _DENOMINATOR_CAP:
+# scaled, its entries must lie within _RATIONAL_TOL of integers, and
+# _RATIONAL_TOL > 1 / (_DENOMINATOR_CAP + 1), so an entry further off has a
+# best approximation with a denominator above 1 (Dirichlet)
+_DENOMINATOR_CAP = 1 << 20
+_RATIONAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -385,8 +401,9 @@ def _class_mult_matrices(G: Group) -> list[np.ndarray]:
         Ms = []
         for Ci in classes:
             Ainv = np.argsort(Ci.arr, axis=1).astype(Ci.arr.dtype)
-            # x in C_i with x^-1 z_kk in class j is counted at j*k + kk
-            pairs = G.class_map[G.locator.product_indices(Ainv, G.class_reps)] * k + np.arange(k)
+            # x in C_i with x^-1 z_kk in class j is counted at j*k + kk; both
+            # blocks are rows of G (inverted), so nothing is located twice
+            pairs = G.class_map[G.locator.products(Ainv, G.class_reps)] * k + np.arange(k)
             Ms.append(np.bincount(pairs.ravel(), minlength=k * k).reshape(k, k))
         _CLASS_MULT[G] = Ms
     return _CLASS_MULT[G]
@@ -652,11 +669,16 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
     The float steps are gated: m_i and every multiplicity within
     PROJECTOR_TOL of an integer, each cluster's size in the fixed vectors
     equal to sum_i m_i * mult_i, the totals equal to the conjugation-character
-    multiplicities and the dimensions sum_i d_i * mult_i summing to |C|.  A
-    value the float flag calls integral is then checked exactly: lambda =
-    round(value) is certified when S - lambda W has the cluster's size as
-    nullity, and left uncertified when it is nonsingular, so lambda is no
-    eigenvalue at all (M11 5A near -1535 is such a case).
+    multiplicities and the dimensions sum_i d_i * mult_i summing to |C|.  The
+    values the float flag calls integral are then checked exactly, all of
+    the class's at once (`_integral_nullities`): lambda = round(value) is
+    certified when S - lambda W has the cluster's size as nullity, and left
+    uncertified when it is nonsingular, so lambda is no eigenvalue at all
+    (M11 5A near -1535 is such a case).  Integer bases of the nullspaces,
+    proposed from the cluster's eigenvectors and verified exactly, bound each
+    nullity from below, and one elimination mod p of the product of the
+    S - lambda W bounds their sum from above; where the bounds do not meet,
+    `_integral_certified` decides, one lambda at a time.
     """
     if not K.is_class_calculus or K.group is None:
         raise ValueError("decomposition needs a class calculus with its group")
@@ -672,7 +694,7 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
         raise ProjectorMismatch(f"{K!r} has no orbital form: C is not a class of {G.name}, "
                                 f"K does not commute with conjugation, or S overflows int64")
     S, w = orbital.S, orbital.w
-    clusters, Pi = orbital.eigenspaces
+    clusters, Pi, vectors = orbital.eigenspaces
     chars = np.array(T.chars, dtype=complex)
     weights = C.size / G.order * (chars @ (orbital.first_rows / np.sqrt(w)))
     # raw[:, 0] is Pi = I, so m
@@ -686,16 +708,18 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
             f"is {raw[i, c]:.6f}, not an integer within {PROJECTOR_TOL}")
     m_int = counts[:, 0]
 
-    entries = []
-    for (start, stop, value, integral), mults in zip(clusters, counts[:, 1:].T):
+    for (start, stop, value, _), mults in zip(clusters, counts[:, 1:].T):
         if int(m_int @ mults) != stop - start:
             raise ProjectorMismatch(
                 f"irreps in E_{value:.4g} meet the fixed vectors in {int(m_int @ mults)} "
                 f"dimensions, the eigenvalue cluster has {stop - start}")
-        certified = integral and _integral_certified(S, w, round(value), stop - start)
-        entries.append(DecompEntry(value=value, dim=int(mults @ T.degrees),
-                                   mults=tuple(mults.tolist()), integral=integral,
-                                   certified=certified))
+    nullities = iter(_integral_nullities(S, w, [
+        (round(value), stop - start, V)
+        for (start, stop, value, _), V in zip(clusters, vectors) if V is not None]))
+    entries = [DecompEntry(value=value, dim=int(mults @ T.degrees), mults=tuple(mults.tolist()),
+                           integral=integral,
+                           certified=integral and next(nullities) == stop - start)
+               for (start, stop, value, integral), mults in zip(clusters, counts[:, 1:].T)]
     expected = multiplicities(conjugation_character(G, C), T)
     totals = counts[:, 1:].sum(axis=1).tolist()
     if totals != expected:
@@ -706,6 +730,116 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
             f"eigenspace dims sum to {sum(e.dim for e in entries)}, not |C| = {C.size}")
     return Decomposition(class_label=C.label, group_name=G.name or "G",
                          irrep_labels=list(T.irrep_labels), entries=entries, table=T)
+
+
+def _integral_nullities(S: np.ndarray, w: np.ndarray, flagged) -> list[int]:
+    """The nullity of S - lam W for each flagged cluster (lam, size, V) of one
+    class, V its float eigenvectors of S v = lam W v: size where lam is
+    certified, 0 where it is no eigenvalue (or S - lam W would not fit in
+    int64), and ProjectorMismatch for any other value.  These are the
+    verdicts of `_integral_certified`, reached with one elimination for the
+    whole class.
+
+    Lower bounds: each cluster proposes an integer basis N of its fixed
+    vectors (`_propose_integer_basis`).  N is accepted only if S - lam W
+    annihilates it exactly (`_verify_integer_nullspace`) and it is diagonal
+    with a nonzero diagonal on the coordinates F it was solved for, which
+    makes its columns independent; then n(lam) >= l(lam), the most columns
+    accepted at lam, and 0 otherwise.  Upper bound: W^-1 S is similar to the
+    symmetric Y, so it is diagonalizable, and the distinct lams are the roots
+    of prod (x - lam), so W prod (W^-1 S - lam I) has nullity sum n(lam) over
+    Q; its rank mod p is at most its rank over Q (`_nullity_mod_p`).  Where
+    that nullity mod p equals sum l(lam), every n(lam) = l(lam).  Otherwise
+    the clusters with nothing accepted take `_integral_certified`, whose
+    verdicts are lower bounds too, and if the bounds still do not meet,
+    every cluster takes it.
+    """
+    if not flagged:
+        return []
+    fits = int(np.abs(S).max()) + max(abs(lam) for lam, _, _ in flagged) * int(w.max()) < 1 << 62
+    known = {lam: 0 for lam, _, _ in flagged}
+    for lam, _, V in flagged:
+        proposed = _propose_integer_basis(V) if fits else None
+        if proposed is not None:
+            N, F = proposed
+            pencil = S.copy()
+            pencil[np.diag_indices(len(w))] -= lam * w  # S - lam W
+            if (np.array_equal(N[F] != 0, np.eye(len(F), dtype=bool))
+                    and _verify_integer_nullspace(pencil, N.T.tolist())):
+                known[lam] = max(known[lam], len(F))
+    bound = _nullity_mod_p(S, w, sorted(known))
+    if bound != sum(known.values()):
+        for lam, size, _ in flagged:
+            if not known[lam] and _integral_certified(S, w, lam, size):
+                known[lam] = size
+    if bound != sum(known.values()):
+        return [size * _integral_certified(S, w, lam, size) for lam, size, _ in flagged]
+    for lam, size, _ in flagged:
+        if known[lam] not in (0, size):
+            raise ProjectorMismatch(
+                f"eigenvalue {lam} has nullity {known[lam]} on the fixed vectors, "
+                f"the eigenvalue cluster has {size}")
+    return [known[lam] for lam, _, _ in flagged]
+
+
+def _propose_integer_basis(V: np.ndarray) -> tuple[np.ndarray, list[int]] | None:
+    """An integer basis N of the span of the float columns V, and the
+    coordinates F on which it should be diagonal; None where a column does
+    not rationalise.  Nothing is certified here.
+
+    F is the len(F) = V.shape[1] rows of V picked as pivots (`_pivot_columns`
+    on V^T), so X = V V[F]^-1 is the identity on F.  Each column of X is
+    scaled by one denominator, carried along as in `_reconstruct_vector`: the
+    entry furthest from an integer gives its best rational approximation
+    with a denominator up to _DENOMINATOR_CAP, and the column's denominator
+    is multiplied by it until every entry lies within _RATIONAL_TOL of an
+    integer."""
+    n = V.shape[1]
+    F = _pivot_columns(V.T, n)
+    if F is None:
+        return None
+    X = V @ np.linalg.inv(V[F])
+    den = np.ones(n, dtype=np.int64)
+    while True:
+        Y = X * den
+        off = np.abs(Y - np.rint(Y))
+        worst = off.argmax(axis=0)
+        cols = np.flatnonzero(off[worst, np.arange(n)] > _RATIONAL_TOL)
+        if not cols.size:
+            return np.rint(Y).astype(np.int64), F
+        for c in cols:
+            den[c] *= Fraction(Y[worst[c], c]).limit_denominator(_DENOMINATOR_CAP).denominator
+        if den.max() > _DENOMINATOR_CAP:
+            return None
+
+
+def _nullity_mod_p(S: np.ndarray, w: np.ndarray, lams: list[int]) -> int:
+    """The nullity of W prod (W^-1 S - lam I) over the distinct lams, mod a
+    seeded 22-bit prime p that divides no w, from one elimination.
+
+    The product is (S - lam_1 W) W^-1 (S - lam_2 W) ... W^-1 (S - lam_m W),
+    symmetric as its factors commute.  Entries stay in [0, p): each product
+    is one float64 matmul where r (p - 1)^2 < 2^53 keeps its sums exact, and
+    `_matmul_mod` beyond; no r x r matrix is formed for W or for I."""
+    rng = random.Random(0)
+    p = random_prime_22(rng)
+    while (w % p == 0).any():
+        p = random_prime_22(rng)
+    r, diagonal = len(w), np.diag_indices(len(w))
+    exact_in_float = r * (p - 1) ** 2 < 1 << 53
+    dtype = np.float64 if exact_in_float else np.int64
+    sizes, at = np.unique(w, return_inverse=True)  # few distinct orbit sizes
+    w_inv = np.array([pow(int(x), -1, p) for x in sizes], dtype=np.int64)[at]
+    A = (S % p * w_inv[:, None] % p).astype(dtype)  # W^-1 S
+    P = S % p
+    P[diagonal] = (P[diagonal] - lams[0] % p * (w % p)) % p
+    P = P.astype(dtype)
+    for lam in lams[1:]:
+        # P (W^-1 S - lam I) = P A - lam P
+        PA = P @ A if exact_in_float else _matmul_mod(P, A, p)
+        PA -= lam % p * P
+        P = np.mod(PA, p, out=PA)
+    return r - rank_mod_p(IntSymMatrix(P.astype(np.int64)), p)
 
 
 def _integral_certified(S: np.ndarray, w: np.ndarray, lam: int, size: int) -> bool:

@@ -339,13 +339,16 @@ def _reconstruct_vector(residues, m: int) -> list[int] | None:
 
 
 def _verify_integer_nullspace(A: np.ndarray, vectors: list[list[int]]) -> bool:
-    """Exact check A @ v == 0 for every v: one matmul of the whole basis per
-    31-bit prime, with primes taken until their product exceeds |A @ v|."""
+    """Exact check A @ v == 0 for every v: one float64 matmul of the whole
+    basis where |A @ v| stays below 2^53, else one per 31-bit prime, with
+    primes taken until their product exceeds |A @ v|."""
     if not all(any(v) for v in vectors):
         return False
     V = np.array(vectors, dtype=object).T
     max_abs = max((abs(x) for v in vectors for x in v), default=0)
     bound = A.shape[1] * int(np.abs(A).max(initial=0)) * max_abs
+    if bound < 1 << 53:  # every partial sum is an integer below 2^53: exact in float64
+        return not np.any(A.astype(np.float64) @ V.astype(np.float64))
     rng = random.Random(0xC0FFEE)
     modulus = 1
     while modulus <= bound:

@@ -151,7 +151,7 @@ class KillingForm:
             orbital = _orbital_data(self)
         if orbital is None:
             return spectrum(self.matrix)
-        clusters, Pi = orbital.eigenspaces
+        clusters, Pi, _ = orbital.eigenspaces
         raw = C.size * Pi[0]
         dims = np.rint(raw).astype(np.int64)
         if (np.abs(raw - dims) > PROJECTOR_TOL).any() or dims.min() < 1 or dims.sum() != C.size:
@@ -378,13 +378,17 @@ class _OrbitalData:
         return np.array([self.class_sum(u) for u in np.eye(self.tau.shape[1], dtype=np.int64)])
 
     @cached_property
-    def eigenspaces(self) -> tuple[list[tuple[int, int, float, bool]], np.ndarray]:
+    def eigenspaces(self) -> tuple[list[tuple[int, int, float, bool]], np.ndarray, list]:
         """The eigenvalue clusters (exactlinalg._clustered_eigh) of K on the
-        orthonormal orbit indicators, Y = W^{-1/2} S W^{-1/2} with W = diag(w),
-        and Pi, whose column c is Pi_c[:, 0] for Y's projector Pi_c on cluster c."""
+        orthonormal orbit indicators, Y = W^{-1/2} S W^{-1/2} with W = diag(w);
+        Pi, whose column c is Pi_c[:, 0] for Y's projector Pi_c on cluster c;
+        and on each cluster flagged integral its float eigenvectors W^{-1/2} Q_c
+        of S v = lambda W v, None on the others.  Only those columns are kept."""
         root_w = np.sqrt(self.w)
         Q, clusters = _clustered_eigh(self.S / np.outer(root_w, root_w))
-        return clusters, np.add.reduceat(Q * Q[0], [start for start, _, _, _ in clusters], axis=1)
+        Pi = np.add.reduceat(Q * Q[0], [start for start, _, _, _ in clusters], axis=1)
+        return clusters, Pi, [Q[:, start:stop] / root_w[:, None] if integral else None
+                              for start, stop, _, integral in clusters]
 
 
 def _orbital_data(K: KillingForm) -> _OrbitalData | None:
@@ -543,32 +547,44 @@ def _orbital_signature(K: KillingForm, seed: int = 0,
     return Signature(*total) if sum(total) == C.size else None
 
 
-def _image_basis(N: np.ndarray, rank: int) -> np.ndarray | None:
-    """rank columns of N that should span its image, each divided by its
-    content; None when a pick has no residual left.  The caller certifies
-    that they do span it.
-
-    The columns are picked in float as QR with column pivoting picks them
-    (Businger and Golub 1965), the one with the largest residual each time,
-    so that P^T S P is well conditioned and the float separation in
-    `signature` decides; the raw columns of N are spread over many orders of
-    magnitude.  The squared residuals are read off the Gram matrix N^T N by
-    pivoted Cholesky (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 10): one BLAS product, then O(r * rank) work per pick.
-    """
-    N_float = N.astype(np.float64)
-    gram = N_float.T @ N_float
-    residual = gram.diagonal().copy()
-    L = np.zeros((len(gram), rank))
+def _pivot_columns(X: np.ndarray, rank: int) -> list[int] | None:
+    """rank columns of the float X, picked as QR with column pivoting picks
+    them (Businger and Golub 1965), the one with the largest residual each
+    time; None when a pick has no residual left.  The squared residuals are
+    read off the Gram matrix X^T X by pivoted Cholesky (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10): one BLAS product, then
+    O(n * rank) work per pick for n columns.  Where X is wider than tall,
+    only the Gram columns at the picks are formed, one product each, so no
+    n x n matrix is held."""
+    wide = X.shape[0] < X.shape[1]
+    gram = None if wide else X.T @ X
+    residual = np.einsum("ij,ij->j", X, X) if wide else gram.diagonal().copy()
+    L = np.zeros((X.shape[1], rank))
     picked = []
     for i in range(rank):
         c = int(np.argmax(residual))
         if residual[c] <= 0:
             return None
         picked.append(c)
-        L[:, i] = (gram[:, c] - L[:, :i] @ L[c, :i]) / np.sqrt(residual[c])
+        column = X.T @ X[:, c] if wide else gram[:, c]
+        L[:, i] = (column - L[:, :i] @ L[c, :i]) / np.sqrt(residual[c])
         residual -= L[:, i] ** 2
         residual[c] = 0  # not left above the others by rounding, to be picked again
+    return picked
+
+
+def _image_basis(N: np.ndarray, rank: int) -> np.ndarray | None:
+    """rank columns of N that should span its image, each divided by its
+    content; None when a pick has no residual left.  The caller certifies
+    that they do span it.
+
+    The columns are picked in float (`_pivot_columns`), so that P^T S P is
+    well conditioned and the float separation in `signature` decides; the
+    raw columns of N are spread over many orders of magnitude.
+    """
+    picked = _pivot_columns(N.astype(np.float64), rank)
+    if picked is None:
+        return None
     P = N[:, picked]
     return P // np.gcd.reduce(P, axis=0)
 

@@ -438,7 +438,14 @@ def test_orbital_decomposition_on_random_groups(G):
         assume(False)
     for C in G.classes()[1:]:
         K = killing_matrix(G, C)
-        _assert_matches_the_oracle(eigenspace_decomposition(K, T), dense_decomposition(K, T))
+        D = eigenspace_decomposition(K, T)
+        _assert_matches_the_oracle(D, dense_decomposition(K, T))
+        # certified exactly where the per-lambda certificate certifies
+        orbital = killing._orbital_data(K)
+        assert [e.certified for e in D.entries] == [
+            integral and characters._integral_certified(orbital.S, orbital.w, round(value),
+                                                        stop - start)
+            for start, stop, value, integral in orbital.eigenspaces[0]]
 
 
 def test_decompose_m11_5a_solves_no_class_sized_eigenproblem(monkeypatch, capsys):
@@ -525,18 +532,215 @@ def test_an_integral_nullity_other_than_the_cluster_size_is_a_mismatch():
         characters._integral_certified(S, w, 12, 3)
 
 
+# ------------------------------- one certificate for the integral rows of a class
+
+# the groups of ORACLE_SPECS and of the golden survey
+CERTIFICATE_SPECS = {**{spec: spec for spec in ORACLE_SPECS if not spec.startswith("file:")},
+                     **GROUP_SPECS}
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The (lam, size) of every per-lambda certificate `_integral_certified`
+    runs during the test."""
+    calls = []
+    certify = characters._integral_certified
+
+    def recording(S, w, lam, size):
+        calls.append((lam, size))
+        return certify(S, w, lam, size)
+
+    monkeypatch.setattr(characters, "_integral_certified", recording)
+    return calls
+
+
+def _flagged(orbital):
+    """The flagged clusters (lam, size, V) of one class, as the decomposition
+    hands them to `_integral_nullities`."""
+    clusters, _, vectors = orbital.eigenspaces
+    return [(round(value), stop - start, V)
+            for (start, stop, value, _), V in zip(clusters, vectors) if V is not None]
+
+
+_PER_LAMBDA = characters._integral_certified  # as imported, not as a test patches it
+
+
+def _per_lambda_nullities(S, w, flagged):
+    """The oracle: the nullity each `_integral_certified` verdict stands for."""
+    return [size * _PER_LAMBDA(S, w, lam, size) for lam, size, _ in flagged]
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_SPECS)
+def test_class_certificates_match_the_per_lambda_oracle(monkeypatch, fallbacks, name):
+    G = build_named_group(CERTIFICATE_SPECS[name])
+    T = character_table(G)
+    decided, decide = [], characters._integral_nullities
+
+    def recording(S, w, flagged):
+        nullities = decide(S, w, flagged)
+        decided.append((S, w, flagged, nullities))
+        return nullities
+
+    monkeypatch.setattr(characters, "_integral_nullities", recording)
+    fell_back = {}
+    for C in G.classes()[1:]:
+        D = eigenspace_decomposition(killing_matrix(G, C), T)
+        (S, w, flagged, nullities), = decided
+        decided.clear()
+        if fallbacks:
+            fell_back[C.label] = fallbacks[:]
+            fallbacks.clear()
+        want = _per_lambda_nullities(S, w, flagged)
+        assert nullities == want, C.label
+        assert [e.certified for e in D.entries if e.integral] == \
+            [n == size for n, (_, size, _) in zip(want, flagged)], C.label
+    # the class certificate decides every row but one: PSL(3,3) 6A -944, whose
+    # size-8 basis does not rationalise below the denominator cap
+    assert fell_back == ({"6A": [(-944, 8)]} if name == "PSL(3,3)" else {})
+
+
+def test_m11_5a_leaves_minus_1535_uncertified_through_the_class_certificate(fallbacks):
+    G = build_named_group(GROUP_SPECS["M11"])
+    orbital = killing._orbital_data(killing_matrix(G, class_by_label(G, "5A")))
+    flagged = _flagged(orbital)
+    nullities = characters._integral_nullities(orbital.S, orbital.w, flagged)
+    assert fallbacks == []
+    assert [lam for (lam, size, _), n in zip(flagged, nullities) if n != size] == [-1535]
+
+
+def _a_class_with_six_integral_rows():
+    G = build_named_group("PSL(2,11)")
+    orbital = killing._orbital_data(killing_matrix(G, class_by_label(G, "5A")))
+    flagged = _flagged(orbital)
+    assert [lam for lam, _, _ in flagged] == [234, 138, -110, -116, -136, -142]
+    return orbital.S, orbital.w, flagged
+
+
+def _propose_then(monkeypatch, spoil):
+    """Every proposal of `_propose_integer_basis` handed to spoil first."""
+    propose = characters._propose_integer_basis
+    monkeypatch.setattr(characters, "_propose_integer_basis", lambda V: spoil(*propose(V)))
+
+
+def test_a_proposed_vector_outside_the_nullspace_is_refused(monkeypatch, fallbacks):
+    S, w, flagged = _a_class_with_six_integral_rows()
+    want = _per_lambda_nullities(S, w, flagged)
+
+    def wrong_entry(N, F):
+        N = N.copy()
+        N[next(i for i in range(len(N)) if i not in F), 0] += 1  # still diagonal on F
+        return N, F
+
+    _propose_then(monkeypatch, wrong_entry)
+    assert characters._integral_nullities(S, w, flagged) == want
+    assert fallbacks == [(lam, size) for lam, size, _ in flagged]  # every row refused
+
+
+def test_proposed_dependent_vectors_are_refused(monkeypatch, fallbacks):
+    S, w, flagged = _a_class_with_six_integral_rows()
+    want = _per_lambda_nullities(S, w, flagged)
+
+    def repeated_column(N, F):
+        # still in the nullspace, but the last column repeats the first
+        return np.column_stack([N[:, :-1], N[:, :1]]), F
+
+    _propose_then(monkeypatch, repeated_column)
+    assert characters._integral_nullities(S, w, flagged) == want
+    # a size-1 cluster repeats nothing, so only it is decided by the class certificate
+    assert fallbacks == [(lam, size) for lam, size, _ in flagged if size > 1]
+
+
+def test_a_failed_proposal_falls_back_for_its_row_alone(monkeypatch, fallbacks):
+    S, w, flagged = _a_class_with_six_integral_rows()
+    want = _per_lambda_nullities(S, w, flagged)
+    propose = characters._propose_integer_basis
+    monkeypatch.setattr(characters, "_propose_integer_basis",
+                        lambda V: None if V.shape[1] == 3 else propose(V))
+    assert characters._integral_nullities(S, w, flagged) == want
+    assert fallbacks == [(-110, 3), (-142, 3)]
+    monkeypatch.setattr(characters, "_propose_integer_basis", lambda V: None)
+    fallbacks.clear()
+    assert characters._integral_nullities(S, w, flagged) == want
+    assert fallbacks == [(lam, size) for lam, size, _ in flagged]
+
+
+def test_an_unlucky_prime_sends_the_class_to_the_per_lambda_certificates(monkeypatch,
+                                                                         fallbacks):
+    S, w, flagged = _a_class_with_six_integral_rows()
+    want = _per_lambda_nullities(S, w, flagged)
+    rank = characters.rank_mod_p
+    monkeypatch.setattr(characters, "rank_mod_p", lambda M, p: rank(M, p) - 1)
+    assert characters._integral_nullities(S, w, flagged) == want
+    assert fallbacks == [(lam, size) for lam, size, _ in flagged]
+
+
+@pytest.mark.parametrize("exact", [1, 2])
+def test_clusters_that_round_to_one_integer_get_the_per_lambda_verdicts(exact):
+    # 10^6 +- 1/10, irrational on the pencil, and 10^6 on `exact` more orbits,
+    # all in clusters of their own, all flagged integral and rounded to 10^6
+    n = 2 + exact
+    S = 10**7 * np.eye(n, dtype=np.int64)
+    S[0, 1] = S[1, 0] = 1
+    w = np.full(n, 10, dtype=np.int64)
+    orbital = killing._OrbitalData(None, None, w, S, None, None, None, None)
+    flagged = _flagged(orbital)
+    assert [(lam, size) for lam, size, _ in flagged] == [(10**6, 1), (10**6, exact), (10**6, 1)]
+    if exact == 1:  # nullity 1, each cluster's size: all three certified
+        assert characters._integral_nullities(S, w, flagged) == \
+            _per_lambda_nullities(S, w, flagged) == [1, 1, 1]
+    else:  # nullity 2 against clusters of size 1: both routes refuse the spectrum
+        with pytest.raises(ProjectorMismatch):
+            _per_lambda_nullities(S, w, flagged)
+        with pytest.raises(ProjectorMismatch):
+            characters._integral_nullities(S, w, flagged)
+
+
+@pytest.mark.parametrize("blocks", [30, 320])
+def test_the_nullity_mod_p_of_the_product(monkeypatch, blocks):
+    # 2 x 2 blocks w [[a, b], [b, a]] in a shuffled basis: W^-1 S has the
+    # eigenvalues a +- b.  With 640 rows r (p - 1)^2 passes 2^53 for the
+    # seeded prime, 3795569, and the products take `_matmul_mod`.
+    rng = np.random.default_rng(blocks)
+    a, b, w = rng.integers(0, 4, blocks), rng.integers(1, 3, blocks), rng.integers(1, 4, blocks)
+    S = np.zeros((2 * blocks, 2 * blocks), dtype=np.int64)
+    S[0::2, 0::2] = S[1::2, 1::2] = np.diag(a * w)
+    S[0::2, 1::2] = S[1::2, 0::2] = np.diag(b * w)
+    order = rng.permutation(2 * blocks)
+    S, w = S[np.ix_(order, order)], np.repeat(w, 2)[order]
+    products = []
+    matmul_mod = characters._matmul_mod
+    monkeypatch.setattr(characters, "_matmul_mod",
+                        lambda A, B, p: products.append(A.shape) or matmul_mod(A, B, p))
+    lams = [-1, 1, 2]
+    assert characters._nullity_mod_p(S, w, lams) == \
+        np.isin(a + b, lams).sum() + np.isin(a - b, lams).sum()
+    assert len(products) == (2 if blocks == 320 else 0)
+
+
+def test_an_integral_nullity_other_than_the_cluster_size_is_a_mismatch_at_once(fallbacks):
+    G = alternating_group(5)
+    orbital = killing._orbital_data(killing_matrix(G, class_by_label(G, "2A")))
+    (_, _, V21), (_, _, V12) = _flagged(orbital)
+    assert characters._integral_nullities(orbital.S, orbital.w, [(21, 2, V21), (12, 4, V12)]) \
+        == [2, 4]
+    with pytest.raises(ProjectorMismatch, match="eigenvalue 12 has nullity 4"):
+        characters._integral_nullities(orbital.S, orbital.w, [(21, 2, V21), (12, 3, V12)])
+    assert fallbacks == []
+
+
 def test_class_structure_constants_are_computed_once_per_group(monkeypatch):
     G = alternating_group(6)  # a fresh group: the constants are kept per group
+    classes = G.classes()  # its classes are found first, from products of their own
     calls = []
-    product_indices = BaseLocator.product_indices
+    products = BaseLocator.products
 
     def counting(self, A, B):
         calls.append(len(A))
-        return product_indices(self, A, B)
+        return products(self, A, B)
 
-    monkeypatch.setattr(BaseLocator, "product_indices", counting)
+    monkeypatch.setattr(BaseLocator, "products", counting)
     assert characters.rational_idempotents(G) is not None  # the table, then the e^2 = e check
-    assert calls == [c.size for c in G.classes()]
+    assert calls == [c.size for c in classes]
 
 
 # ----------------------------------------------------------- central character

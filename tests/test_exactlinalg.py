@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casimir_oracle import exact_inverse
-from killform import characters, exactlinalg
+from golden_survey import GROUP_SPECS
+from killform import characters, cli, exactlinalg, killing
 from killform.cli import cmd_decompose
 from killform.errors import CapExceeded, SingularMatrix
+from killform.groups import build_named_group
 from killform.exactlinalg import (
     IntSymMatrix,
     Signature,
@@ -132,11 +134,13 @@ def test_verify_integer_nullspace_checks_every_column():
 
 def test_verify_integer_nullspace_takes_enough_primes():
     # the residual of v is a multiple of the first prime the check draws, so
-    # only the bound from the largest entry of v makes it draw a second one
+    # only the bound from the largest entry of v makes it draw a second one;
+    # below 2^53 one float64 product decides, so it takes p1 * 2^23 to get there
     p1 = random_prime_31(random.Random(0xC0FFEE))
     M = IntSymMatrix([[1, 0], [0, 0]])
     assert _verify_integer_nullspace(M.data, [[0, 1]])
     assert not _verify_integer_nullspace(M.data, [[0, 1], [p1, 1]])
+    assert not _verify_integer_nullspace(M.data, [[0, 1], [p1 << 23, 1]])
 
 
 def test_exact_rank_cap():
@@ -164,6 +168,7 @@ def test_exact_rank_of_a_full_rank_matrix_eliminates_once(eliminations):
 
 
 def test_decompose_eliminates_once_per_integral_certificate(monkeypatch, eliminations):
+    # with every proposed basis refused, each row falls back to its own certificate
     per_call = []
     certify = characters.exact_rank
 
@@ -174,8 +179,35 @@ def test_decompose_eliminates_once_per_integral_certificate(monkeypatch, elimina
         return rank
 
     monkeypatch.setattr(characters, "exact_rank", recording)
+    monkeypatch.setattr(characters, "_propose_integer_basis", lambda V: None)
     assert cmd_decompose("PSL(2,11)", "5A").exit_code == 0
     assert per_call == [1] * 6
+
+
+def _decompose_with(monkeypatch, spec):
+    """cmd_decompose on one built group and its table, so that only the
+    decomposition's own eliminations run."""
+    G = build_named_group(spec)
+    T = characters.character_table(G)
+    monkeypatch.setattr(cli, "build_named_group", lambda spec, cap: G)
+    monkeypatch.setattr(cli, "character_table", lambda G: T)
+    return G, lambda selector: cmd_decompose(spec, selector)
+
+
+def test_decompose_eliminates_once_per_class(monkeypatch, eliminations):
+    G, decompose = _decompose_with(monkeypatch, "PSL(2,11)")
+    r = len(killing._orbital_data(killing.killing_matrix(G, cli.resolve_class(G, "5A"))).w)
+    before = len(eliminations)  # the table's
+    assert decompose("5A").exit_code == 0
+    assert eliminations[before:] == [(r, r)]  # six integral rows, one certificate
+
+
+def test_decompose_of_m11_eliminates_once_per_class(monkeypatch, eliminations):
+    G, decompose = _decompose_with(monkeypatch, GROUP_SPECS["M11"])
+    before = len(eliminations)  # the table's
+    for C in G.classes()[1:]:
+        assert decompose(C.label).exit_code == 0
+    assert len(eliminations) - before == 9  # 36 with one certificate per integral row
 
 
 @pytest.mark.parametrize("rest", [(1,), (1, 0)])

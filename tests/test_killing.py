@@ -537,10 +537,10 @@ def test_a_non_integral_eigenspace_dimension_is_a_mismatch(monkeypatch):
     eigenspaces = killing._OrbitalData.eigenspaces.func
 
     def off(D):
-        clusters, Pi = eigenspaces(D)
+        clusters, Pi, vectors = eigenspaces(D)
         Pi = Pi.copy()
         Pi[0, 0] += 0.5 / D.w.sum()  # half a dimension more in the top eigenspace
-        return clusters, Pi
+        return clusters, Pi, vectors
 
     monkeypatch.setattr(killing._OrbitalData, "eigenspaces", property(off))
     G = alternating_group(5)
