@@ -18,10 +18,8 @@ from .exactlinalg import (IntSymMatrix, Signature, SpectrumEntry,
 from .groups import (ConjClass, Group, alternating_group, build_named_group,
                      generate_group, parse_group_file, psl2, psl3,
                      symmetric_class, symmetric_group)
-from .killing import (AlgebraVector, CasimirExpansion, KillingForm, analyze,
-                      apply_form, casimir, killing_matrix,
-                      killing_matrix_bruteforce, m_vector, pairing,
-                      theta_vector, universal_killing)
+from .killing import (CasimirExpansion, KillingForm, analyze, casimir,
+                      killing_matrix, universal_killing)
 from .perms import Perm
 from .specht import (Partition, euler_count, sign_rep_multiplicity,
                      sign_rep_occurs, sn_character, specht_dimension,
@@ -31,17 +29,16 @@ from .specht import (Partition, euler_count, sign_rep_multiplicity,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraVector", "CasimirExpansion", "CharTable", "ClassFunction",
-    "ConjClass", "Decomposition", "Group", "IntSymMatrix", "KillformError",
+    "CasimirExpansion", "CharTable", "ClassFunction", "ConjClass",
+    "Decomposition", "Group", "IntSymMatrix", "KillformError",
     "KillingForm", "Partition", "Perm", "Signature", "SpectrumEntry",
-    "alternating_group", "analyze", "apply_form", "build_named_group",
-    "casimir", "character_table", "conjugation_character",
-    "connected_components", "eigenspace_decomposition", "euler_count",
-    "exact_rank", "generate_group", "integrality_audit", "killing_matrix",
-    "killing_matrix_bruteforce", "m_vector", "multiplicities", "pairing",
-    "parse_group_file", "psl2", "psl3", "rank_mod_p", "roth_check",
-    "sign_rep_multiplicity", "sign_rep_occurs", "signature", "sn_character",
-    "specht_dimension", "specht_multiplicity", "specht_occurs", "spectrum",
-    "symmetric_class", "symmetric_group", "theta_vector",
+    "alternating_group", "analyze", "build_named_group", "casimir",
+    "character_table", "conjugation_character", "connected_components",
+    "eigenspace_decomposition", "euler_count", "exact_rank",
+    "generate_group", "integrality_audit", "killing_matrix",
+    "multiplicities", "parse_group_file", "psl2", "psl3", "rank_mod_p",
+    "roth_check", "sign_rep_multiplicity", "sign_rep_occurs", "signature",
+    "sn_character", "specht_dimension", "specht_multiplicity",
+    "specht_occurs", "spectrum", "symmetric_class", "symmetric_group",
     "two_cycles_eigenvalues", "universal_killing",
 ]

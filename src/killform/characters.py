@@ -144,12 +144,6 @@ class CharTable:
                 labels[i] = f"{d}{suffix}"
         return labels
 
-    def class_column(self, C: ConjClass) -> int:
-        for j, (lab, size) in enumerate(zip(self.class_labels, self.class_sizes)):
-            if lab == C.label and size == C.size:
-                return j
-        raise ValueError(f"class {C.label} (size {C.size}) not in table {self.name}")
-
     def to_json(self) -> str:
         return json.dumps({
             "name": self.name,
@@ -856,12 +850,6 @@ def _integral_certified(S: np.ndarray, w: np.ndarray, lam: int, size: int) -> bo
             f"eigenvalue {lam} has nullity {nullity} on the fixed vectors, "
             f"the eigenvalue cluster has {size}")
     return nullity == size
-
-
-def central_character(T: CharTable, C: ConjClass, i: int) -> complex:
-    """theta_C acting on irrep i: |C| * chi_i(rep) / degree_i."""
-    j = T.class_column(C)
-    return T.class_sizes[j] * T.chars[i][j] / T.degrees[i]
 
 
 def integrality_audit(D: Decomposition, T: CharTable) -> list[str]:

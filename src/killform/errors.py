@@ -41,10 +41,6 @@ class NotCentral(KillformError):
     """Casimir expansion has a residual outside the span of e and class sums."""
 
 
-class ZeroMultiplicity(KillformError):
-    pass
-
-
 class NoSuitablePrime(KillformError):
     """Character-table prime search exhausted below 2**31."""
 
@@ -59,10 +55,6 @@ class NotACharacter(KillformError):
 
 class ProjectorMismatch(KillformError):
     """Eigenprojector traces are not near-integers or totals disagree."""
-
-
-class NotAnEigenvector(KillformError):
-    pass
 
 
 class NontrivialCentre(KillformError):

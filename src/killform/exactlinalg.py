@@ -13,8 +13,8 @@ stay exact); each lifted vector is reconstructed as rationals over one shared
 denominator and the basis is verified exactly by one matrix product per
 31-bit prime; the verified nullity bounds the rank from above.  The Casimir
 solves L y = e_1 by the same lift, applied to [L | -e_1] (killing.casimir).
-Fraction-free Bareiss remains as the rank fallback when the lift stalls and as
-an independent oracle.
+Fraction-free Bareiss remains as the rank fallback when the lift stalls and,
+through exact_rank_bareiss in tests/form_oracle.py, as an independent oracle.
 
 Floating eigenwork goes through LAPACK (numpy.linalg.eigh).
 """
@@ -426,12 +426,6 @@ def _rank_bareiss(M: IntSymMatrix) -> int:
     return r
 
 
-def exact_rank_bareiss(M: IntSymMatrix, cap: int = EXACT_CAP) -> int:
-    if M.dim > cap:
-        raise CapExceeded(f"dim {M.dim} exceeds exact cap {cap}")
-    return _rank_bareiss(M)
-
-
 def exact_rank(M: IntSymMatrix, seed: int = 0, cap: int = EXACT_CAP) -> int:
     """Certified rank of M over Q.
 
@@ -561,12 +555,6 @@ def spectrum(M: IntSymMatrix) -> list[SpectrumEntry]:
     return [SpectrumEntry(value=mean, multiplicity=stop - start, vectors=vecs[:, start:stop],
                           integral=integral)
             for start, stop, mean, integral in clusters]
-
-
-def integer_eigen_multiplicity(M: IntSymMatrix, k: int, seed: int = 0) -> int:
-    """Certified multiplicity of the integer k in the spectrum of M."""
-    shifted = IntSymMatrix(M.data - k * np.eye(M.dim, dtype=np.int64))
-    return M.dim - exact_rank(shifted, seed=seed)
 
 
 def connected_components(M: IntSymMatrix) -> list[list[int]]:

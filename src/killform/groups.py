@@ -351,35 +351,6 @@ def conjugacy_classes(G: Group) -> list[ConjClass]:
     return [t[-1] for t in raw]
 
 
-def centralizer_count(G: Group, g: Perm) -> int:
-    """|Z(g)| in G."""
-    return int(_commuting_counts(G.arr, G.arr[[G.index(g)]])[0])
-
-
-def class_generates(G: Group, C: ConjClass) -> bool:
-    """Does the subgroup generated by the class equal G?  Each generator taken
-    is the first member outside the subgroup generated so far."""
-    if C.is_trivial():
-        raise ValueError("trivial class never generates a nontrivial group")
-    members = G.locator.locate(C.arr)
-    in_sub = np.zeros(G.order, dtype=bool)
-    gens = []
-    while not in_sub[members].all():
-        gens.append(C.arr[np.argmin(in_sub[members])])
-        sub = _closure(gens, G.degree, cap=G.order)
-        if len(sub) == G.order:
-            return True
-        in_sub[G.locator.locate(sub)] = True
-    return False
-
-
-def is_simple_via_classes(G: Group) -> bool:
-    """True iff every nontrivial conjugacy class generates G."""
-    if G.order <= 1:
-        raise ValueError("simplicity test needs |G| > 1")
-    return all(class_generates(G, c) for c in G.classes() if not c.is_trivial())
-
-
 # ---------------------------------------------------------------------------
 # direct construction of symmetric-group classes (no S_n enumeration)
 

@@ -3,8 +3,8 @@
 Every form is a class function of a product: |Z(x) ∩ C| is invariant under
 conjugation, so K[a][b] = phi_C(ab) with phi_C the conjugation character,
 evaluated once per class of G; the universal form takes phi = |Z| - 1.  The
-brute-force double loop over |Z(ab) ∩ C| exists only as a test oracle
-(killing_matrix_bruteforce).
+brute-force double loop over |Z(ab) ∩ C| is a test oracle
+(killing_matrix_bruteforce in tests/form_oracle.py).
 
 A form is formed lazily (_FormMatrix): its dimension is known at once, the
 rows a caller asks for are formed on request, and the dense matrix only on
@@ -29,8 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (CapExceeded, NotCentral, ProjectorMismatch, RowSumMismatch, SingularMatrix,
-                     ZeroMultiplicity)
+from .errors import CapExceeded, NotCentral, ProjectorMismatch, RowSumMismatch, SingularMatrix
 from .exactlinalg import (
     IntSymMatrix,
     Signature,
@@ -46,51 +45,6 @@ from .groups import ConjClass, Group, class_size
 from .perms import Perm
 
 MATRIX_CAP = 4096
-
-
-class AlgebraVector:
-    """Sparse exact linear combination of permutations (group-algebra element)."""
-
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if v != 0:
-                    self.coeffs[k] = v
-
-    def __getitem__(self, k):
-        return self.coeffs.get(k, 0)
-
-    def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return AlgebraVector(out)
-
-    def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "AlgebraVector":
-        return AlgebraVector({k: c * v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraVector) and self.coeffs == other.coeffs
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def support(self):
-        return set(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __repr__(self) -> str:
-        terms = sorted(self.coeffs.items(), key=lambda kv: kv[0].images)
-        inner = " + ".join(f"{v}*{k}" for k, v in terms[:6])
-        if len(terms) > 6:
-            inner += f" + ... ({len(terms)} terms)"
-        return f"AlgebraVector({inner})"
 
 
 @dataclass
@@ -125,13 +79,6 @@ class KillingForm:
     def basis(self) -> tuple[Perm, ...]:
         """The basis as Perms, aligned with the rows of .basis_arr."""
         return tuple(map(Perm, self.basis_arr.tolist()))
-
-    @cached_property
-    def _index(self) -> dict:
-        return {p.images: i for i, p in enumerate(self.basis)}
-
-    def basis_index(self, p: Perm) -> int:
-        return self._index[p.images]
 
     def spectrum(self) -> list[SpectrumEntry]:
         """The eigenvalue clusters of the form, as exactlinalg.spectrum gives them.
@@ -260,11 +207,6 @@ def killing_matrix(G: Group | None, C: ConjClass, cap: int = MATRIX_CAP) -> Kill
             raise ValueError(f"{C!r} is not a conjugacy class of {G.name}")
         phi = _class_function(G, C.commuting_count(G.class_reps), C.arr)
     return KillingForm(_FormMatrix(C.arr, phi), C.arr, group=G, conj_class=C)
-
-
-def killing_matrix_bruteforce(C: ConjClass) -> IntSymMatrix:
-    """Direct K[a][b] = |Z(ab) ∩ C|, counted for every product ab (test oracle)."""
-    return IntSymMatrix(np.array([C.commuting_count(a[C.arr]) for a in C.arr]))
 
 
 def universal_killing(G: Group, cap: int = MATRIX_CAP, include_identity: bool = False) -> KillingForm:
@@ -654,38 +596,6 @@ def analyze(K: KillingForm, seed: int = 0) -> KillingForm:
     return K
 
 
-def theta_vector(K: KillingForm) -> AlgebraVector:
-    """The all-ones vector over the class; an exact eigenvector at lambda_max."""
-    if not K.is_class_calculus:
-        raise ValueError("theta is defined for class calculi")
-    return AlgebraVector({p: Fraction(1) for p in K.basis})
-
-
-def apply_form(K: KillingForm, v: AlgebraVector) -> AlgebraVector:
-    """K applied to a vector over the basis: (K v)_a = sum_b K[a][b] v_b, exact."""
-    out: dict[Perm, object] = {}
-    data = K.matrix.data
-    for b, coef in v.coeffs.items():
-        j = K.basis_index(b)
-        col = data[:, j]
-        for i in np.nonzero(col)[0]:
-            a = K.basis[i]
-            out[a] = out.get(a, 0) + int(col[i]) * coef
-    return AlgebraVector(out)
-
-
-def pairing(K: KillingForm, v, w) -> complex:
-    """K(v, w) for coefficient mappings over the basis (floating/complex OK)."""
-    data = K.matrix.data
-    vi = np.zeros(K.matrix.dim, dtype=complex)
-    wi = np.zeros(K.matrix.dim, dtype=complex)
-    for p, c in v.items():
-        vi[K.basis_index(p)] = c
-    for p, c in w.items():
-        wi[K.basis_index(p)] = c
-    return complex(vi @ data @ wi)
-
-
 @dataclass
 class CasimirExpansion:
     """Sum over a,b of K^{ab} * (a*b), re-expressed as q_e * e + sum of q_C * theta_C."""
@@ -748,23 +658,3 @@ def casimir(K: KillingForm) -> CasimirExpansion:
             theta[cl.label] = q
     return CasimirExpansion(e_coeff=e_coeff, theta_coeffs=theta)
 
-
-def m_vector(G: Group, W_multiplicities, table) -> dict:
-    """The nondegeneracy witness m: coefficient at g is
-    sum_i dim(V_i)^2 * conj(chi_i(g)) / <chi_i, chi_W>, as a map Perm -> complex.
-
-    Character values are floating (Dixon lift), so coefficients are complex
-    floats; m_e = sum_i dim^3 / mult_i is real and strictly positive.
-    """
-    mults = list(W_multiplicities)
-    if len(mults) != len(table.degrees):
-        raise ValueError("one multiplicity per irreducible, please")
-    if any(m <= 0 for m in mults):
-        raise ZeroMultiplicity(f"multiplicities must be positive: {mults}")
-    class_values = []
-    for j in range(len(table.class_labels)):
-        val = 0j
-        for i, d in enumerate(table.degrees):
-            val += d * d * np.conj(table.chars[i][j]) / mults[i]
-        class_values.append(complex(val))
-    return {g: class_values[ci] for g, ci in zip(G.elements, G.class_map)}

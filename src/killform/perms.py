@@ -98,10 +98,6 @@ class Perm:
             n >>= 1
         return result
 
-    def conj_by(self, g: Perm) -> Perm:
-        """Return g * self * g^{-1}."""
-        return g * self * g.inverse()
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest point, sorted."""
         seen = [False] * len(self.images)
@@ -129,18 +125,8 @@ class Perm:
     def order(self) -> int:
         return reduce(lcm, (len(c) for c in self.cycles()), 1)
 
-    @property
-    def sign(self) -> int:
-        return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
-
-    def extended(self, degree: int) -> Perm:
-        """The same permutation acting on a larger point set (new points fixed)."""
-        if degree < len(self.images):
-            raise ValueError("cannot shrink a permutation")
-        return Perm(self.images + tuple(range(len(self.images), degree)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images

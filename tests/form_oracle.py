@@ -1,0 +1,157 @@
+"""Exact vector algebra over a form's basis, kept as the oracle for the
+library's forms, spectra and certificates.
+
+Sparse group-algebra vectors with exact coefficients; the form applied and
+paired entry by entry; the class form from the double loop over |Z(ab) ∩ C|;
+the paper's nondegeneracy witness m for the universal calculus; the central
+character of a class; and the rank by Bareiss elimination alone.
+"""
+import weakref
+from fractions import Fraction
+
+import numpy as np
+
+from killform.characters import CharTable
+from killform.errors import CapExceeded, KillformError
+from killform.exactlinalg import EXACT_CAP, IntSymMatrix, _rank_bareiss, exact_rank
+from killform.groups import ConjClass, Group
+from killform.killing import KillingForm
+from killform.perms import Perm
+
+
+class ZeroMultiplicity(KillformError):
+    pass
+
+
+class AlgebraVector:
+    """Sparse exact linear combination of permutations (group-algebra element)."""
+
+    def __init__(self, coeffs: dict | None = None):
+        self.coeffs = {}
+        if coeffs:
+            for k, v in coeffs.items():
+                if v != 0:
+                    self.coeffs[k] = v
+
+    def __getitem__(self, k):
+        return self.coeffs.get(k, 0)
+
+    def __add__(self, other: "AlgebraVector") -> "AlgebraVector":
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) + v
+        return AlgebraVector(out)
+
+    def __sub__(self, other: "AlgebraVector") -> "AlgebraVector":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "AlgebraVector":
+        return AlgebraVector({k: c * v for k, v in self.coeffs.items()})
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AlgebraVector) and self.coeffs == other.coeffs
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def support(self):
+        return set(self.coeffs)
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __repr__(self) -> str:
+        terms = sorted(self.coeffs.items(), key=lambda kv: kv[0].images)
+        inner = " + ".join(f"{v}*{k}" for k, v in terms[:6])
+        if len(terms) > 6:
+            inner += f" + ... ({len(terms)} terms)"
+        return f"AlgebraVector({inner})"
+
+
+_INDEX = weakref.WeakKeyDictionary()  # KillingForm -> {images: row}
+
+
+def basis_index(K: KillingForm, p: Perm) -> int:
+    """The row of p in K.basis (KeyError if p is not in the basis)."""
+    index = _INDEX.get(K)
+    if index is None:
+        index = _INDEX[K] = {q.images: i for i, q in enumerate(K.basis)}
+    return index[p.images]
+
+
+def theta_vector(K: KillingForm) -> AlgebraVector:
+    """The all-ones vector over the class; an exact eigenvector at lambda_max."""
+    if not K.is_class_calculus:
+        raise ValueError("theta is defined for class calculi")
+    return AlgebraVector({p: Fraction(1) for p in K.basis})
+
+
+def apply_form(K: KillingForm, v: AlgebraVector) -> AlgebraVector:
+    """K applied to a vector over the basis: (K v)_a = sum_b K[a][b] v_b, exact."""
+    out: dict[Perm, object] = {}
+    data = K.matrix.data
+    for b, coef in v.coeffs.items():
+        j = basis_index(K, b)
+        col = data[:, j]
+        for i in np.nonzero(col)[0]:
+            a = K.basis[i]
+            out[a] = out.get(a, 0) + int(col[i]) * coef
+    return AlgebraVector(out)
+
+
+def pairing(K: KillingForm, v, w) -> complex:
+    """K(v, w) for coefficient mappings over the basis (floating/complex OK)."""
+    data = K.matrix.data
+    vi = np.zeros(K.matrix.dim, dtype=complex)
+    wi = np.zeros(K.matrix.dim, dtype=complex)
+    for p, c in v.items():
+        vi[basis_index(K, p)] = c
+    for p, c in w.items():
+        wi[basis_index(K, p)] = c
+    return complex(vi @ data @ wi)
+
+
+def killing_matrix_bruteforce(C: ConjClass) -> IntSymMatrix:
+    """Direct K[a][b] = |Z(ab) ∩ C|, counted for every product ab."""
+    return IntSymMatrix(np.array([C.commuting_count(a[C.arr]) for a in C.arr]))
+
+
+def m_vector(G: Group, W_multiplicities, table: CharTable) -> dict:
+    """The nondegeneracy witness m: coefficient at g is
+    sum_i dim(V_i)^2 * conj(chi_i(g)) / <chi_i, chi_W>, as a map Perm -> complex.
+
+    Character values are floating (Dixon lift), so coefficients are complex
+    floats; m_e = sum_i dim^3 / mult_i is real and strictly positive.
+    """
+    mults = list(W_multiplicities)
+    if len(mults) != len(table.degrees):
+        raise ValueError("one multiplicity per irreducible, please")
+    if any(m <= 0 for m in mults):
+        raise ZeroMultiplicity(f"multiplicities must be positive: {mults}")
+    class_values = []
+    for j in range(len(table.class_labels)):
+        val = 0j
+        for i, d in enumerate(table.degrees):
+            val += d * d * np.conj(table.chars[i][j]) / mults[i]
+        class_values.append(complex(val))
+    return {g: class_values[ci] for g, ci in zip(G.elements, G.class_map)}
+
+
+def central_character(T: CharTable, C: ConjClass, i: int) -> complex:
+    """theta_C acting on irrep i: |C| * chi_i(rep) / degree_i."""
+    for j, (lab, size) in enumerate(zip(T.class_labels, T.class_sizes)):
+        if lab == C.label and size == C.size:
+            return size * T.chars[i][j] / T.degrees[i]
+    raise ValueError(f"class {C.label} (size {C.size}) not in table {T.name}")
+
+
+def exact_rank_bareiss(M: IntSymMatrix, cap: int = EXACT_CAP) -> int:
+    if M.dim > cap:
+        raise CapExceeded(f"dim {M.dim} exceeds exact cap {cap}")
+    return _rank_bareiss(M)
+
+
+def integer_eigen_multiplicity(M: IntSymMatrix, k: int, seed: int = 0) -> int:
+    """Certified multiplicity of the integer k in the spectrum of M."""
+    shifted = IntSymMatrix(M.data - k * np.eye(M.dim, dtype=np.int64))
+    return M.dim - exact_rank(shifted, seed=seed)

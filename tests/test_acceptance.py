@@ -17,8 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from form_oracle import (apply_form, basis_index, killing_matrix_bruteforce,
+                         m_vector, theta_vector)
 from golden_survey import (GOLDEN, GROUP_ORDERS, GROUP_SPECS,
                            computed_multiset, expected_multiset)
+from group_oracle import conj_by
 from killform.characters import (ClassFunction, character_table,
                                  eigenspace_decomposition, multiplicities,
                                  roth_check)
@@ -26,9 +29,8 @@ from killform.cli import SURVEY_COLUMNS, cmd_casimir, resolve_class
 from killform.exactlinalg import (EXACT_CAP, exact_rank, random_prime_22,
                                   rank_mod_p)
 from killform.groups import build_named_group, symmetric_class
-from killform.killing import (analyze, apply_form, casimir, killing_matrix,
-                              killing_matrix_bruteforce, m_vector,
-                              theta_vector, universal_killing)
+from killform.killing import (analyze, casimir, killing_matrix,
+                              universal_killing)
 from killform.specht import (Partition, euler_count, partitions_of,
                              sign_rep_multiplicity, sign_rep_occurs,
                              two_cycles_eigenvalues)
@@ -320,7 +322,7 @@ def test_criterion_5_structural_invariants_on_small_groups():
             # ad-invariance: conjugating the basis by each generator
             # permutes the matrix onto itself
             for g in G.generators:
-                perm = np.array([K.basis_index(a.conj_by(g))
+                perm = np.array([basis_index(K, conj_by(a, g))
                                  for a in K.basis])
                 assert np.array_equal(M[np.ix_(perm, perm)], M), spec
 

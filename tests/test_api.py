@@ -1,0 +1,70 @@
+"""The library ships only what runs: its public names are pinned, every
+module-level function and class has a caller outside the tests, and the
+oracles the tests compare against live under tests/."""
+import ast
+from pathlib import Path
+
+import killform
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "killform"
+
+PUBLIC = [
+    "CasimirExpansion", "CharTable", "ClassFunction", "ConjClass",
+    "Decomposition", "Group", "IntSymMatrix", "KillformError",
+    "KillingForm", "Partition", "Perm", "Signature", "SpectrumEntry",
+    "alternating_group", "analyze", "build_named_group", "casimir",
+    "character_table", "conjugation_character", "connected_components",
+    "eigenspace_decomposition", "euler_count", "exact_rank",
+    "generate_group", "integrality_audit", "killing_matrix",
+    "multiplicities", "parse_group_file", "psl2", "psl3", "rank_mod_p",
+    "roth_check", "sign_rep_multiplicity", "sign_rep_occurs", "signature",
+    "sn_character", "specht_dimension", "specht_multiplicity",
+    "specht_occurs", "spectrum", "symmetric_class", "symmetric_group",
+    "two_cycles_eigenvalues", "universal_killing",
+]
+
+
+def _used_names(node) -> set:
+    """Every name read, and every attribute taken, inside node."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC) == 44
+    assert sorted(killform.__all__) == sorted(PUBLIC)
+    for name in PUBLIC:
+        assert getattr(killform, name) is not None, name
+
+
+def test_every_library_definition_has_a_caller():
+    callers = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+               *(ROOT / "tools").glob("*.py")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in callers}
+    # names used by each top-level statement, so that a definition's use of
+    # its own name (recursion) does not count as a caller
+    statements = [(stmt, _used_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in trees[path].body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if stmt.name in killform.__all__:
+                continue
+            if not any(stmt.name in used for other, used in statements if other is not stmt):
+                unused.append(f"{path.name}:{stmt.name}")
+    assert not unused, f"library definitions with no caller: {unused}"
+
+
+def test_specht_does_not_import_killing():
+    tree = ast.parse((PACKAGE / "specht.py").read_text(encoding="utf-8"))
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert not [m for m in imported if m and m.split(".")[-1] == "killing"], imported

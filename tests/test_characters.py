@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from decomposition_oracle import dense_decomposition
+from form_oracle import central_character
 from golden_survey import GROUP_SPECS
 from group_strategies import permutation_groups_up_to_degree_8
 from table_oracle import oracle_table
@@ -19,7 +20,6 @@ from killform.characters import (
     ClassFunction,
     DecompEntry,
     Decomposition,
-    central_character,
     character_table,
     conjugation_character,
     eigenspace_decomposition,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casimir_oracle import exact_inverse
+from form_oracle import exact_rank_bareiss, integer_eigen_multiplicity
 from golden_survey import GROUP_SPECS
 from killform import characters, cli, exactlinalg, killing
 from killform.cli import cmd_decompose
@@ -26,8 +27,6 @@ from killform.exactlinalg import (
     _verify_integer_nullspace,
     connected_components,
     exact_rank,
-    exact_rank_bareiss,
-    integer_eigen_multiplicity,
     random_prime_22,
     random_prime_31,
     rank_mod_p,
