@@ -381,28 +381,6 @@ def _common_eigenvectors(Ms: list[np.ndarray], p: int, seed: int = 0xD1C0) -> np
 
 # --------------------------------------------------------------- Dixon proper
 
-# group -> its class structure constants, shared by the table and the
-# idempotent check; dropped with the group
-_CLASS_MULT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _class_mult_matrices(G: Group) -> list[np.ndarray]:
-    """M_i[j][k] = #{x in C_i : x^-1 z_k in C_j} (class-sum structure constants),
-    computed once per group."""
-    if G not in _CLASS_MULT:
-        classes = G.classes()
-        k = len(classes)
-        Ms = []
-        for Ci in classes:
-            Ainv = np.argsort(Ci.arr, axis=1).astype(Ci.arr.dtype)
-            # x in C_i with x^-1 z_kk in class j is counted at j*k + kk; both
-            # blocks are rows of G (inverted), so nothing is located twice
-            pairs = G.class_map[G.locator.products(Ainv, G.class_reps)] * k + np.arange(k)
-            Ms.append(np.bincount(pairs.ravel(), minlength=k * k).reshape(k, k))
-        _CLASS_MULT[G] = Ms
-    return _CLASS_MULT[G]
-
-
 def _power_classes(G: Group) -> list[list[int]]:
     """power_class[j][t] is the class of g_j^t for t < |g_j|, g_j the
     representative of class j: all powers composed as rows, located at once."""
@@ -429,7 +407,7 @@ def character_table(G: Group, cap: int = CLASS_CAP) -> CharTable:
                          provenance=f"dixon({G.name or 'trivial'})")
     n = G.exponent()
     p = _find_prime(n, G.order)
-    V = _common_eigenvectors([M % p for M in _class_mult_matrices(G)], p)
+    V = _common_eigenvectors([M % p for M in G.structure_constants], p)
 
     power_class = _power_classes(G)
     dual_class = [pc[-1] for pc in power_class]  # g_j^-1 = g_j^(|g_j| - 1)
@@ -603,7 +581,7 @@ def _certified_idempotents(G: Group, T: CharTable) -> list[tuple[int, np.ndarray
         return None  # d times the square of e_O would not fit in int64
     # e_O^2 in the class-sum basis, through the structure constants: the sum
     # of C_a times the sum of C_b is sum_c M_a[b, c] * (sum of C_c)
-    square = np.einsum("abc,oa,ob->oc", np.array(_class_mult_matrices(G)), U, U)
+    square = np.einsum("abc,oa,ob->oc", G.structure_constants, U, U)
     unit = np.zeros(k, dtype=np.int64)
     unit[0] = G.order
     dual = [pc[-1] for pc in power]

@@ -54,23 +54,6 @@ class IntSymMatrix:
         """The rows idx, as one array."""
         return self.data[idx]
 
-    def dump(self) -> str:
-        lines = [f"dim {self.dim}"]
-        for row in self.data:
-            lines.append(" ".join(str(int(x)) for x in row))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def load(text: str) -> "IntSymMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("dim "):
-            raise ValueError("matrix dump must start with 'dim n'")
-        n = int(lines[0][4:])
-        rows = [[int(tok) for tok in ln.split()] for ln in lines[1 : n + 1]]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("matrix dump has wrong shape")
-        return IntSymMatrix(rows)
-
 
 @dataclass(frozen=True)
 class Signature:

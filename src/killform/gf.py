@@ -1,4 +1,6 @@
-"""Small finite fields GF(q), enough to build PSL(2,q) / PSL(3,q) permutation groups.
+"""Small finite fields GF(q), and the action of matrices over them on
+projective points: enough to build PSL(2,q), PSL(3,q) and PSU(3,3) as
+permutation groups, each from a list of generator matrices.
 
 Elements are encoded as integers 0..q-1: the integer sum(c_i * p**i) stands for
 the polynomial sum(c_i * x**i) over GF(p).  For extension fields the modulus is a
@@ -7,7 +9,11 @@ group; for prime fields the stored generator is the least primitive root.
 """
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product
+
 from .errors import BadField
+from .perms import Perm
 
 # q -> coefficients of the Conway polynomial, constant term first (monic).
 CONWAY = {
@@ -118,9 +124,6 @@ class GFField:
             return (-a) % self.p
         return self.encode(-c for c in self.decode(a))
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul_slow(self, a: int, b: int) -> int:
         """Polynomial product reduced by the modulus; used to build the log tables."""
         if self.k == 1:
@@ -157,8 +160,33 @@ class GFField:
             return 0
         return self._exp[(self._log[a] * n) % (self.q - 1)]
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def __repr__(self) -> str:
         return f"GFField({self.q})"
+
+
+def projective_points(F: GFField, n: int) -> list[tuple[int, ...]]:
+    """The points of PG(n-1, q), each scaled so that its first nonzero
+    coordinate is 1, ordered by the position of that 1 and then
+    lexicographically by the later coordinates: for n = 2, (1:x) is at index x
+    and (0:1) at index q."""
+    return [(0,) * i + (1,) + rest
+            for i in range(n) for rest in product(range(F.q), repeat=n - 1 - i)]
+
+
+def projective_perms(F: GFField, matrices, points) -> list[Perm]:
+    """The permutation of points (scaled as by projective_points) that each
+    n x n matrix over F induces, v -> Mv up to a scalar."""
+    index = {v: i for i, v in enumerate(points)}
+    perms = []
+    for M in matrices:
+        images = []
+        for v in points:
+            u = [reduce(F.add, map(F.mul, row, v)) for row in M]
+            s = F.inv(next((x for x in u if x), 1))  # the zero vector is no point
+            image = index.get(tuple(F.mul(s, x) for x in u))
+            if image is None:
+                raise ValueError(f"the matrix {M} maps the point {v} to {u}, "
+                                 f"which is not among the given points")
+            images.append(image)
+        perms.append(Perm(images))
+    return perms

@@ -7,7 +7,7 @@ rows; a conjugacy class is stored the same way, as its member rows.
 `Group.locator` finds elements, and products of elements, among them by the
 images of a base (Sims 1970) through one integer table per base point; every
 element lookup goes through it.  `Group.class_map` gives the class of every
-element.
+element, and `Group.structure_constants` the products of the class sums.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadField, CapExceeded, DegreeMismatch, ElementNotInGroup, UnknownSpec
-from .gf import GFField
+from .errors import CapExceeded, DegreeMismatch, ElementNotInGroup, UnknownSpec
+from .gf import GFField, projective_perms, projective_points
 from .perms import Perm
 
 DEFAULT_ELEMENT_CAP = 100_000
@@ -100,19 +100,11 @@ class BaseLocator:
             raise ElementNotInGroup("a permutation row is not an element of the group")
         return state
 
-    def product_indices(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Row index of a * b for each row a of A and b of B, as a (len(A), len(B)) array.
-
-        Both blocks are checked to be elements; their products then are too,
-        so only the base images a[b[beta]] of each product are formed.
-        """
-        self.locate(A)
-        self.locate(B)
-        return self.products(A, B)
-
     def products(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """product_indices for rows already known to be elements: nothing is
-        checked, so a row outside the group gives a wrong index, not an error."""
+        """Row index of a * b for each row a of A and b of B, as a (len(A), len(B))
+        array, for rows already known to be elements: only the base images
+        a[b[beta]] of each product are formed, and nothing is checked, so a
+        row outside the group gives a wrong index, not an error."""
         return self._walk((len(A), len(B)), (pos[A][:, B[:, beta]]
                                              for beta, pos in zip(self.base, self.positions)))
 
@@ -223,6 +215,20 @@ class Group:
     def class_reps(self) -> np.ndarray:
         """The representative row of each class, aligned with classes()."""
         return np.array([c.arr[0] for c in self.classes()])
+
+    @cached_property
+    def structure_constants(self) -> np.ndarray:
+        """M[i][j][k] = #{x in C_i : x^-1 z_k in C_j}, z_k the representative of
+        class k: the class sums multiply as C_i C_j = sum_k M[i][j][k] C_k."""
+        k = len(self.classes())
+        M = np.empty((k, k, k), dtype=np.int64)
+        for i, Ci in enumerate(self.classes()):
+            Ainv = np.argsort(Ci.arr, axis=1).astype(Ci.arr.dtype)
+            # x in C_i with x^-1 z_kk in class j is counted at j*k + kk; both
+            # blocks are rows of G (inverted), so nothing is located twice
+            pairs = self.class_map[self.locator.products(Ainv, self.class_reps)] * k + np.arange(k)
+            M[i] = np.bincount(pairs.ravel(), minlength=k * k).reshape(k, k)
+        return M
 
     def class_index_of(self, p: Perm) -> int:
         """Index into classes() of the class containing p."""
@@ -449,24 +455,14 @@ def alternating_group(n: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
 def psl2(q: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     """PSL(2,q) acting on the q+1 points of the projective line.
 
-    Points: field elements at indices 0..q-1 (integer encoding), infinity at q.
+    Points: (1:x) at index x (integer encoding), infinity (0:1) at q.
     Generators: x -> x+1, x -> m*x, x -> -1/x, where m = w for even q and w^2
     for odd q (w a primitive element) so the multiplier has square determinant.
     """
     F = GFField(q)
-    inf = q
-    t = [0] * (q + 1)
-    for e in range(q):
-        t[e] = F.add(e, 1)
-    t[inf] = inf
     m = F.generator if q % 2 == 0 else F.mul(F.generator, F.generator)
-    w = [F.mul(m, e) for e in range(q)] + [inf]
-    s = [0] * (q + 1)
-    s[0] = inf
-    s[inf] = 0
-    for e in range(1, q):
-        s[e] = F.neg(F.inv(e))
-    gens = [Perm(t), Perm(w), Perm(s)]
+    matrices = [[[1, 0], [1, 1]], [[1, 0], [0, m]], [[0, 1], [F.neg(1), 0]]]
+    gens = projective_perms(F, matrices, projective_points(F, 2))
     return generate_group(gens, name=f"PSL(2,{q})", cap=cap)
 
 
@@ -478,33 +474,9 @@ def psl3(q: int, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     image is PSL(3,q).
     """
     F = GFField(q)
-    points = [(1, b, c) for b in range(q) for c in range(q)]
-    points += [(0, 1, c) for c in range(q)]
-    points.append((0, 0, 1))
-    index = {v: i for i, v in enumerate(points)}
-
-    def normalize(v):
-        for x in v:
-            if x:
-                xi = F.inv(x)
-                return tuple(F.mul(xi, y) for y in v)
-        raise ValueError("zero vector")
-
-    def perm_of_matrix(M):
-        images = []
-        for v in points:
-            u = tuple(
-                F.add(F.add(F.mul(M[r][0], v[0]), F.mul(M[r][1], v[1])), F.mul(M[r][2], v[2]))
-                for r in range(3)
-            )
-            images.append(index[normalize(u)])
-        return Perm(images)
-
-    gens = []
-    for i in range(F.k):
-        lam = F.pow(F.generator, i) if F.k > 1 else 1
-        gens.append(perm_of_matrix([[1, lam, 0], [0, 1, 0], [0, 0, 1]]))
-    gens.append(perm_of_matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+    matrices = [[[1, F.pow(F.generator, i), 0], [0, 1, 0], [0, 0, 1]] for i in range(F.k)]
+    matrices.append([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    gens = projective_perms(F, matrices, projective_points(F, 3))
     return generate_group(gens, name=f"PSL(3,{q})", cap=cap)
 
 

@@ -15,7 +15,10 @@ count, the signature, the spectrum and decomposition (one eigensolve) and
 the Casimir all come from them.  The signature is decided one block per
 rational central idempotent of QG, on matrices of total size r = sum of
 m_i^2 (_orbital_signature).  A universal form is one component, and its
-signature comes in closed form from Roth's property (_universal_signature).
+signature comes in closed form from Roth's property (_universal_signature),
+decided on a Gram read off the class structure constants; the same Gram from
+located products is a test oracle (class_sum_gram_located in
+tests/form_oracle.py).
 The dense matrix, with `signature`, `spectrum` and `connected_components`,
 decides the rest and stays the test oracle.
 """
@@ -42,7 +45,6 @@ from .exactlinalg import (
     spectrum,
 )
 from .groups import ConjClass, Group, class_size
-from .perms import Perm
 
 MATRIX_CAP = 4096
 
@@ -74,11 +76,6 @@ class KillingForm:
     @property
     def is_class_calculus(self) -> bool:
         return self.conj_class is not None
-
-    @cached_property
-    def basis(self) -> tuple[Perm, ...]:
-        """The basis as Perms, aligned with the rows of .basis_arr."""
-        return tuple(map(Perm, self.basis_arr.tolist()))
 
     def spectrum(self) -> list[SpectrumEntry]:
         """The eigenvalue clusters of the form, as exactlinalg.spectrum gives them.
@@ -228,13 +225,11 @@ def universal_killing(G: Group, cap: int = MATRIX_CAP, include_identity: bool = 
 
 def _class_sum_gram(G: Group) -> IntSymMatrix:
     """S = Ind^T F Ind for F[a][b] = |Z(ab)| over G and Ind the class indicator
-    vectors: S[j][l] = |C_j| * sum over y in C_l of |Z(g_j y)|, from one located
-    block of products g_j y of the class representatives g_j with all of G."""
-    sizes = np.array([cl.size for cl in G.classes()], dtype=np.int64)
-    values = (G.order // sizes)[G.class_map[G.locator.product_indices(G.class_reps, G.arr)]]
-    by_class = np.argsort(G.class_map, kind="stable")
-    starts = np.searchsorted(G.class_map[by_class], np.arange(len(sizes)))
-    return IntSymMatrix(sizes[:, None] * np.add.reduceat(values[:, by_class], starts, axis=1))
+    vectors: S[j][l] = |C_j| * sum over y in C_l of |Z(g_j y)|.  Counting the
+    pairs in C_j x C_l by the class C_m of their product, each with
+    |Z| = |G| / |C_m|, gives S[j][l] = |G| * sum over m of M_j[l][m], M the
+    class structure constants."""
+    return IntSymMatrix(G.order * G.structure_constants.sum(axis=2))
 
 
 # group -> Roth's property, decided with the first call's seed; dropped with the group

@@ -11,6 +11,7 @@ from math import lcm
 
 import numpy as np
 
+from group_oracle import product_indices
 from killform.errors import CapExceeded, NotCentral, SingularMatrix
 from killform.exactlinalg import IntSymMatrix, _lift_nullspace, exact_rank
 from killform.killing import CasimirExpansion, KillingForm
@@ -47,7 +48,7 @@ def dense_casimir(K: KillingForm) -> CasimirExpansion:
     num = np.array([[q.numerator * (den // q.denominator) for q in row] for row in Kinv],
                    dtype=object)
     sums = np.zeros(G.order, dtype=object)
-    np.add.at(sums, G.locator.product_indices(C.arr, C.arr).ravel(), num.ravel())
+    np.add.at(sums, product_indices(G.locator, C.arr, C.arr).ravel(), num.ravel())
     e_coeff, theta = Fraction(0), {}
     for ci, cl in enumerate(G.classes()):
         vals = sorted(Fraction(int(x), den) for x in set(sums[G.class_map == ci]))

@@ -1,16 +1,18 @@
 """Exact vector algebra over a form's basis, kept as the oracle for the
 library's forms, spectra and certificates.
 
-Sparse group-algebra vectors with exact coefficients; the form applied and
-paired entry by entry; the class form from the double loop over |Z(ab) ∩ C|;
-the paper's nondegeneracy witness m for the universal calculus; the central
-character of a class; and the rank by Bareiss elimination alone.
+A form's basis as Perms; sparse group-algebra vectors with exact
+coefficients; the form applied and paired entry by entry; the class form from
+the double loop over |Z(ab) ∩ C|; Roth's class-sum Gram from a located block
+of products; the paper's nondegeneracy witness m for the universal calculus;
+the central character of a class; and the rank by Bareiss elimination alone.
 """
 import weakref
 from fractions import Fraction
 
 import numpy as np
 
+from group_oracle import product_indices
 from killform.characters import CharTable
 from killform.errors import CapExceeded, KillformError
 from killform.exactlinalg import EXACT_CAP, IntSymMatrix, _rank_bareiss, exact_rank
@@ -68,14 +70,22 @@ class AlgebraVector:
         return f"AlgebraVector({inner})"
 
 
+_BASIS = weakref.WeakKeyDictionary()  # KillingForm -> its basis as Perms
 _INDEX = weakref.WeakKeyDictionary()  # KillingForm -> {images: row}
 
 
+def basis(K: KillingForm) -> tuple[Perm, ...]:
+    """The basis of K as Perms, aligned with the rows of K.basis_arr."""
+    if K not in _BASIS:
+        _BASIS[K] = tuple(map(Perm, K.basis_arr.tolist()))
+    return _BASIS[K]
+
+
 def basis_index(K: KillingForm, p: Perm) -> int:
-    """The row of p in K.basis (KeyError if p is not in the basis)."""
+    """The row of p in basis(K) (KeyError if p is not in the basis)."""
     index = _INDEX.get(K)
     if index is None:
-        index = _INDEX[K] = {q.images: i for i, q in enumerate(K.basis)}
+        index = _INDEX[K] = {q.images: i for i, q in enumerate(basis(K))}
     return index[p.images]
 
 
@@ -83,7 +93,7 @@ def theta_vector(K: KillingForm) -> AlgebraVector:
     """The all-ones vector over the class; an exact eigenvector at lambda_max."""
     if not K.is_class_calculus:
         raise ValueError("theta is defined for class calculi")
-    return AlgebraVector({p: Fraction(1) for p in K.basis})
+    return AlgebraVector({p: Fraction(1) for p in basis(K)})
 
 
 def apply_form(K: KillingForm, v: AlgebraVector) -> AlgebraVector:
@@ -94,7 +104,7 @@ def apply_form(K: KillingForm, v: AlgebraVector) -> AlgebraVector:
         j = basis_index(K, b)
         col = data[:, j]
         for i in np.nonzero(col)[0]:
-            a = K.basis[i]
+            a = basis(K)[i]
             out[a] = out.get(a, 0) + int(col[i]) * coef
     return AlgebraVector(out)
 
@@ -114,6 +124,16 @@ def pairing(K: KillingForm, v, w) -> complex:
 def killing_matrix_bruteforce(C: ConjClass) -> IntSymMatrix:
     """Direct K[a][b] = |Z(ab) ∩ C|, counted for every product ab."""
     return IntSymMatrix(np.array([C.commuting_count(a[C.arr]) for a in C.arr]))
+
+
+def class_sum_gram_located(G: Group) -> IntSymMatrix:
+    """S[j][l] = |C_j| * sum over y in C_l of |Z(g_j y)|, from one located
+    block of products g_j y of the class representatives g_j with all of G."""
+    sizes = np.array([cl.size for cl in G.classes()], dtype=np.int64)
+    values = (G.order // sizes)[G.class_map[product_indices(G.locator, G.class_reps, G.arr)]]
+    by_class = np.argsort(G.class_map, kind="stable")
+    starts = np.searchsorted(G.class_map[by_class], np.arange(len(sizes)))
+    return IntSymMatrix(sizes[:, None] * np.add.reduceat(values[:, by_class], starts, axis=1))
 
 
 def m_vector(G: Group, W_multiplicities, table: CharTable) -> dict:

@@ -1,12 +1,13 @@
 """Permutation and group checks that only the tests need.
 
-The sign, conjugate and extension of a single Perm, centraliser orders from
-a direct commuting count, and the simplicity test by class generation: each
-nontrivial class of a simple group generates it.
+The sign, conjugate and extension of a single Perm, products of rows checked
+to be elements, centraliser orders from a direct commuting count, and the
+simplicity test by class generation: each nontrivial class of a simple group
+generates it.
 """
 import numpy as np
 
-from killform.groups import ConjClass, Group, _closure, _commuting_counts
+from killform.groups import BaseLocator, ConjClass, Group, _closure, _commuting_counts
 from killform.perms import Perm
 
 
@@ -25,6 +26,14 @@ def extended(p: Perm, degree: int) -> Perm:
     if degree < p.degree:
         raise ValueError("cannot shrink a permutation")
     return Perm(p.images + tuple(range(p.degree, degree)))
+
+
+def product_indices(locator: BaseLocator, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """locator.products(A, B), after both blocks are checked to be elements
+    (ElementNotInGroup otherwise)."""
+    locator.locate(A)
+    locator.locate(B)
+    return locator.products(A, B)
 
 
 def centralizer_count(G: Group, g: Perm) -> int:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from form_oracle import AlgebraVector, apply_form, basis_index
+from form_oracle import AlgebraVector, apply_form, basis, basis_index
 from group_oracle import conj_by, sign
 from killform.errors import CapExceeded, KillformError
 from killform.groups import ConjClass
@@ -163,7 +163,7 @@ def eigenvalue_from_vector(K: KillingForm, v: AlgebraVector) -> Fraction:
         except KeyError:
             raise ValueError(f"{b} is not in the form's basis") from None
     Kv = apply_form(K, v)
-    pivot = next(b for b in K.basis if v[b] != 0)
+    pivot = next(b for b in basis(K) if v[b] != 0)
     lam = Fraction(Kv[pivot]) / Fraction(v[pivot])
     if Kv != v.scale(lam):
         raise NotAnEigenvector("K v is not proportional to v")

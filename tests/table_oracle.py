@@ -16,7 +16,6 @@ import numpy as np
 
 from killform.characters import (
     CharTable,
-    _class_mult_matrices,
     _find_prime,
     _poly_divmod,
     _poly_gcd,
@@ -170,7 +169,7 @@ def oracle_table(G) -> CharTable:
     sizes = [c.size for c in classes]
     n = G.exponent()
     p = _find_prime(n, G.order)
-    vecs = common_eigenvectors([M % p for M in _class_mult_matrices(G)], p)
+    vecs = common_eigenvectors([M % p for M in G.structure_constants], p)
 
     power_class = _power_classes(G)
     dual_class = [pc[-1] for pc in power_class]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from form_oracle import (apply_form, basis_index, killing_matrix_bruteforce,
+from form_oracle import (apply_form, basis, basis_index, killing_matrix_bruteforce,
                          m_vector, theta_vector)
 from golden_survey import (GOLDEN, GROUP_ORDERS, GROUP_SPECS,
                            computed_multiset, expected_multiset)
@@ -294,7 +294,7 @@ def test_criterion_5_structural_invariants_on_small_groups():
         w_mults[trivial] -= 1
         Kid = universal_killing(G, include_identity=True)
         m = m_vector(G, w_mults, T)
-        vec = np.array([m[p] for p in Kid.basis])
+        vec = np.array([m[p] for p in basis(Kid)])
         w = Kid.matrix.data @ vec
         assert abs(w[0] - G.order**2) < 1e-6 * G.order**2, spec
         assert np.max(np.abs(w[1:])) < 1e-6, spec
@@ -323,7 +323,7 @@ def test_criterion_5_structural_invariants_on_small_groups():
             # permutes the matrix onto itself
             for g in G.generators:
                 perm = np.array([basis_index(K, conj_by(a, g))
-                                 for a in K.basis])
+                                 for a in basis(K)])
                 assert np.array_equal(M[np.ix_(perm, perm)], M), spec
 
             # each eigenspace is self-dual as a conjugation module

@@ -1,7 +1,8 @@
 """The library ships only what runs: its public names are pinned, every
-module-level function and class has a caller outside the tests, and the
-oracles the tests compare against live under tests/."""
+module-level function and class, and every method, has a caller outside the
+tests, and the oracles the tests compare against live under tests/."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import killform
@@ -25,15 +26,21 @@ PUBLIC = [
 ]
 
 
-def _used_names(node) -> set:
-    """Every name read, and every attribute taken, inside node."""
-    used = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            used.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
-    return used
+# methods kept for the library's users with no caller of their own:
+# the export that `decompose --char-table` reads, and a group's Perms
+UNCALLED_METHODS = {"CharTable.to_json", "Group.elements"}
+
+
+def _caller_trees() -> dict:
+    callers = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+               *(ROOT / "tools").glob("*.py")]
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in callers}
+
+
+def _uses(node) -> Counter:
+    """How often each name is read, or each attribute taken, inside node."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
 
 
 def test_public_names_are_pinned():
@@ -44,12 +51,10 @@ def test_public_names_are_pinned():
 
 
 def test_every_library_definition_has_a_caller():
-    callers = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
-               *(ROOT / "tools").glob("*.py")]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in callers}
+    trees = _caller_trees()
     # names used by each top-level statement, so that a definition's use of
     # its own name (recursion) does not count as a caller
-    statements = [(stmt, _used_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    statements = [(stmt, _uses(stmt)) for tree in trees.values() for stmt in tree.body]
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in trees[path].body:
@@ -60,6 +65,25 @@ def test_every_library_definition_has_a_caller():
             if not any(stmt.name in used for other, used in statements if other is not stmt):
                 unused.append(f"{path.name}:{stmt.name}")
     assert not unused, f"library definitions with no caller: {unused}"
+
+
+def test_every_library_method_has_a_caller():
+    """A method's callers are the uses of its name anywhere but in its own
+    body; dunder methods are called by the language."""
+    trees = _caller_trees()
+    used = sum((_uses(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (not isinstance(method, ast.FunctionDef) or method.name.startswith("__")
+                        or f"{cls.name}.{method.name}" in UNCALLED_METHODS):
+                    continue
+                if used[method.name] == _uses(method)[method.name]:
+                    unused.append(f"{path.name}:{cls.name}.{method.name}")
+    assert not unused, f"library methods with no caller: {unused}"
 
 
 def test_specht_does_not_import_killing():

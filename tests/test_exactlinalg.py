@@ -579,10 +579,3 @@ def test_matmul_mod_is_exact_below_2_31(rows, inner):
     got = _matmul_mod(A, B, p)
     assert got.dtype == np.int64
     assert got.tolist() == want.tolist()
-
-
-def test_dump_load_roundtrip():
-    M = IntSymMatrix([[2, 8, 2], [8, 0, 1], [2, 1, 5]])
-    text = M.dump()
-    assert text.splitlines()[0] == "dim 3"
-    assert IntSymMatrix.load(text) == M

@@ -1,13 +1,17 @@
+import hashlib
+import importlib.util
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import WIDE_S5_GRP
-from group_oracle import centralizer_count, class_generates, is_simple_via_classes, sign
+from group_oracle import (centralizer_count, class_generates, is_simple_via_classes,
+                          product_indices, sign)
 
 from killform import groups
 from killform.cli import resolve_class
@@ -25,6 +29,8 @@ from killform.groups import (
     symmetric_group,
 )
 from killform.perms import Perm
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_generate_s3():
@@ -88,6 +94,46 @@ def test_psl3_order():
     assert g.degree == 13
     assert g.order == 5616
 
+
+# sha256 of G.arr and of the generator image rows (in G.arr's dtype): the
+# point labelling is pinned, not just the reports, since a relabelling can
+# swap two classes of equal order and size and leave every report unchanged
+PINNED_DIGESTS = {
+    (psl2, 7): ("360c46d4a60d9586bccda3cde94b8c85ffc42cd84ec7a61ee81333abad946a32",
+                "51e8dfe4b449da079a5ca854bdd9f767af3057e3e8994055efeadb4a5c5c1873"),
+    (psl2, 8): ("16bdbe53919bdc562a676d5b7eb37d33eed97da5a796e4e0978981e694e6b0ff",
+                "ac7e7a2c9812d9fabc8671f9cb0ca3e69461ec54dc4578bfa7e11732dbd8d17a"),
+    (psl2, 16): ("29ec79b2172073dc6544046e866165ce0c8666f4488e6f489bfc0e373089954e",
+                 "da390bec8f8adcd50ceeaf341e0b6b1d3fcaa5f041708dda6a70a161cc08a55e"),
+    (psl2, 17): ("515a2d10ed139869be1f2a3cdaf407c08ca9dfed1450502701d554f623630be7",
+                 "5e7c9e907b4b33241628d91b5f3d848c375f72a3fe0d070e3f960bec00d11957"),
+    (psl2, 25): ("d59cfcbc606970249ad96667e9135387d0041c572b018ce491982759ed1f66f1",
+                 "94c90b9c1abf454cce6dc1f7bd11d751f8651baefbc2a64861a91095834ca662"),
+    (psl2, 53): ("2210846bb0b1bb20d0c56247f987063eeda06b1f6ab73e7783ade53db602e5e9",
+                 "3c66f9f372c6cf89b56aacf807fba3ab5867d5a4b5cc952a2f20be65a0a94d99"),
+    (psl3, 2): ("9410ff7c272039fd2c92b161e7927543a26a0c0e2ae1f0d5c305832f489a23a9",
+                "5d67f6b0b96703f07e77b32aabd08dc40f34125fb78b3e9268a6f67006fc8ed5"),
+    (psl3, 3): ("0823ebd7c8148abc0cda204fbd24da628ba031fdbab8888f44234662e74f75c6",
+                "44ef8d7ada4dd0668f36b1c23fbe31fa1f562e468e3134f493e796556f8b8f6d"),
+    (psl3, 4): ("17e2799d7466712c0df4494fb697bd53efbd05af37cd6e77330fe55eb65ae437",
+                "f0e55c7666b56e7ad8ab7dc28b5f36897ca8d26284cfbfb34fffbe00dc016975"),
+}
+
+
+@pytest.mark.parametrize("build,q", PINNED_DIGESTS, ids=lambda v: getattr(v, "__name__", v))
+def test_projective_groups_keep_their_point_labelling(build, q):
+    G = build(q)
+    gens = np.array([g.images for g in G.generators], dtype=G.arr.dtype)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (G.arr, gens))
+    assert digests == PINNED_DIGESTS[build, q]
+
+
+
+def test_make_psu33_regenerates_the_data_file_byte_for_byte():
+    spec = importlib.util.spec_from_file_location("make_psu33", ROOT / "tools" / "make_psu33.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.psu33_text() == (ROOT / "data" / "psu33.grp").read_text(encoding="utf-8")
 
 def test_s4_class_sizes():
     sizes = sorted(c.size for c in conjugacy_classes(symmetric_group(4)) if not c.is_trivial())
@@ -290,7 +336,7 @@ def test_product_indices_match_index_of_products(spec):
     g = _group(spec)
     rng = np.random.default_rng(0)
     ia, ib = rng.integers(g.order, size=17), rng.integers(g.order, size=23)
-    got = g.locator.product_indices(g.arr[ia], g.arr[ib])
+    got = product_indices(g.locator, g.arr[ia], g.arr[ib])
     want = [[g.index(g.elements[a] * g.elements[b]) for b in ib] for a in ia]
     assert got.tolist() == want
 
@@ -325,7 +371,7 @@ def test_locator_rejects_rows_outside_the_group(spec):
         block = np.stack([g.arr[0], row])
         for A, B in ((g.arr[:3], block), (block, g.arr[:3])):
             with pytest.raises(ElementNotInGroup):
-                loc.product_indices(A, B)
+                product_indices(loc, A, B)
 
 
 def test_locator_built_lazily_under_racing_threads():

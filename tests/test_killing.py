@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from casimir_oracle import dense_casimir
-from form_oracle import (AlgebraVector, ZeroMultiplicity, apply_form, basis_index,
-                         killing_matrix_bruteforce, m_vector, pairing, theta_vector)
+from form_oracle import (AlgebraVector, ZeroMultiplicity, apply_form, basis, basis_index,
+                         class_sum_gram_located, killing_matrix_bruteforce, m_vector, pairing,
+                         theta_vector)
 from group_oracle import centralizer_count, conj_by
 from group_strategies import permutation_groups_up_to_degree_8
 from killform import characters, cli, exactlinalg, killing
@@ -87,7 +88,7 @@ def test_s4_three_cycles_first_row():
 def test_s4_four_cycles_rows_and_spectrum():
     G = symmetric_group(4)
     K = killing_matrix(G, class_by_label(G, "4A"))
-    for i, a in enumerate(K.basis):
+    for i, a in enumerate(basis(K)):
         row = K.matrix.data[i]
         assert sorted(row.tolist()) == [0, 0, 0, 0, 2, 6]
         assert row[i] == 2
@@ -132,9 +133,9 @@ def test_s3_universal_restricted_is_corner_deletion():
     assert K.matrix.dim == 5
     assert not K.includes_identity and K.universal
     e = G.identity
-    assert e not in K.basis
-    for i, a in enumerate(K.basis):
-        for j, b in enumerate(K.basis):
+    assert e not in basis(K)
+    for i, a in enumerate(basis(K)):
+        for j, b in enumerate(basis(K)):
             assert K.matrix.data[i, j] == full.matrix.data[basis_index(full, a), basis_index(full, b)]
 
 
@@ -224,6 +225,18 @@ def small_permutation_groups(draw):
     degree = draw(st.integers(2, 6))
     gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
     return generate_group([Perm(g) for g in gens], degree=degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_permutation_groups())
+def test_class_sum_gram_from_structure_constants_matches_located_products(G):
+    assert killing._class_sum_gram(G) == class_sum_gram_located(G)
+
+
+@pytest.mark.parametrize("spec", ["file:data/psu33.grp", "file:data/m11.grp"])
+def test_class_sum_gram_from_structure_constants_on_shipped_groups(spec):
+    G = build_named_group(spec)
+    assert killing._class_sum_gram(G) == class_sum_gram_located(G)
 
 
 @settings(max_examples=60, deadline=None)
@@ -633,7 +646,7 @@ def test_wide_degree_forms(wide_s5_file):
             K = killing_matrix(G, C)
             assert np.array_equal(K.matrix.data, killing_matrix_bruteforce(C).data), C.label
     U = universal_killing(G)
-    want = [[centralizer_count(G, a * b) - 1 for b in U.basis] for a in U.basis]
+    want = [[centralizer_count(G, a * b) - 1 for b in basis(U)] for a in basis(U)]
     assert U.matrix.data.tolist() == want
 
 
@@ -646,7 +659,7 @@ def test_ad_invariance_a5():
         g = G.elements[int(g)]
         for i in (0, 3, 11):
             for j in (1, 5, 19):
-                a, b = K.basis[i], K.basis[j]
+                a, b = basis(K)[i], basis(K)[j]
                 ga, gb = conj_by(a, g), conj_by(b, g)
                 assert K.matrix.data[basis_index(K, ga), basis_index(K, gb)] == K.matrix.data[i, j]
 

@@ -5,7 +5,9 @@ The unitary group here preserves the Hermitian form
 on GF(9)^3, with conj(a) = a^3 (the field involution).  The projective plane
 over GF(9) has exactly q^3 + 1 = 28 isotropic points, and the action of the
 unitary matrices on them factors through the scalars, giving PGU(3,3); since
-gcd(3, q+1) = 1 this equals PSU(3,3), simple of order 6048.
+gcd(3, q+1) = 1 this equals PSU(3,3), simple of order 6048.  The group is
+generated by four unitary matrices, permuting the isotropic points in sorted
+order through `killform.gf.projective_perms`; no two of the four generate it.
 
 Run from the repository root:  python3 tools/make_psu33.py
 """
@@ -14,11 +16,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from killform.gf import GFField
+from killform.gf import GFField, projective_perms, projective_points
 from killform.groups import generate_group
-from killform.perms import Perm
 
 F = GFField(9)
+OUT = os.path.join(os.path.dirname(__file__), "..", "data", "psu33.grp")
 
 
 def conj(a: int) -> int:
@@ -31,51 +33,11 @@ def hermitian(x, y) -> int:
     return F.add(t, F.mul(x[2], conj(y[0])))
 
 
-def normalize(v):
-    for c in v:
-        if c:
-            ci = F.inv(c)
-            return tuple(F.mul(ci, x) for x in v)
-    raise ValueError("zero vector")
-
-
-def projective_points():
-    pts = []
-    for b in range(9):
-        for c in range(9):
-            pts.append((1, b, c))
-    for c in range(9):
-        pts.append((0, 1, c))
-    pts.append((0, 0, 1))
-    return pts
-
-
-ISOTROPIC = sorted(p for p in projective_points() if hermitian(p, p) == 0)
-INDEX = {p: i for i, p in enumerate(ISOTROPIC)}
-
-
-def apply(M, v):
-    out = []
-    for row in M:
-        acc = 0
-        for m, x in zip(row, v):
-            acc = F.add(acc, F.mul(m, x))
-        out.append(acc)
-    return tuple(out)
-
-
 def is_unitary(M) -> bool:
-    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    for x in basis:
-        for y in basis:
-            if hermitian(apply(M, x), apply(M, y)) != hermitian(x, y):
-                return False
-    return True
-
-
-def perm_of(M) -> Perm:
-    images = [INDEX[normalize(apply(M, p))] for p in ISOTROPIC]
-    return Perm(images)
+    """H(Mx, My) = H(x, y) on the basis vectors e_i, whose images are M's
+    columns; H(e_i, e_j) is 1 when i + j = 2 and 0 otherwise."""
+    cols = list(zip(*M))
+    return all(hermitian(cols[i], cols[j]) == int(i + j == 2) for i in range(3) for j in range(3))
 
 
 def unitriangular(t: int):
@@ -87,42 +49,33 @@ def unitriangular(t: int):
     raise ValueError(f"no s for t={t}")
 
 
-def main() -> None:
-    assert len(ISOTROPIC) == 28, len(ISOTROPIC)
+def psu33_text() -> str:
+    """The text of data/psu33.grp."""
+    isotropic = sorted(p for p in projective_points(F, 3) if hermitian(p, p) == 0)
+    assert len(isotropic) == 28, len(isotropic)
     x = F.generator  # a primitive element of GF(9)
     J = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     b = F.pow(x, 2)  # b * conj(b) = b^4 = 1
     D = [[x, 0, 0], [0, b, 0], [0, 0, F.inv(conj(x))]]
-    candidates = [J, unitriangular(1), unitriangular(x), D]
-    for M in candidates:
-        assert is_unitary(M), M
-    perms = [perm_of(M) for M in candidates]
+    matrices = [J, unitriangular(1), unitriangular(x), D]
+    assert all(is_unitary(M) for M in matrices)
+    gens = projective_perms(F, matrices, isotropic)
+    order = generate_group(gens).order
+    assert order == 6048, order
+    return "".join([
+        "# PSU(3,3), simple of order 6048, acting on the 28 isotropic\n",
+        "# points of PG(2,9) for the Hermitian form x0*conj(y2) + x1*conj(y1) + x2*conj(y0).\n",
+        "# Generated by tools/make_psu33.py (deterministic).\n",
+        "name PSU(3,3)\n",
+        "degree 28\n",
+        *(f"{g}\n" for g in gens),
+    ])
 
-    gens = None
-    for i in range(len(perms)):
-        for j in range(i + 1, len(perms)):
-            G = generate_group([perms[i], perms[j]], name="PSU(3,3)")
-            if G.order == 6048:
-                gens = [perms[i], perms[j]]
-                break
-        if gens:
-            break
-    if gens is None:
-        G = generate_group(perms, name="PSU(3,3)")
-        assert G.order == 6048, G.order
-        gens = perms
 
-    out = os.path.join(os.path.dirname(__file__), "..", "data", "psu33.grp")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("# PSU(3,3), simple of order 6048, acting on the 28 isotropic\n")
-        fh.write("# points of PG(2,9) for the Hermitian form "
-                 "x0*conj(y2) + x1*conj(y1) + x2*conj(y0).\n")
-        fh.write("# Generated by tools/make_psu33.py (deterministic).\n")
-        fh.write("name PSU(3,3)\n")
-        fh.write("degree 28\n")
-        for g in gens:
-            fh.write(str(g) + "\n")
-    print(f"wrote {out} with {len(gens)} generators; order check 6048 OK")
+def main() -> None:
+    with open(OUT, "w", encoding="utf-8") as fh:
+        fh.write(psu33_text())
+    print(f"wrote {OUT}; order check 6048 OK")
 
 
 if __name__ == "__main__":
