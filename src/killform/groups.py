@@ -7,11 +7,13 @@ rows; a conjugacy class is stored the same way, as its member rows.
 `Group.locator` finds elements, and products of elements, among them by the
 images of a base (Sims 1970) through one integer table per base point; every
 element lookup goes through it.  `Group.class_map` gives the class of every
-element, and `Group.structure_constants` the products of the class sums.
+element, and `Group.class_products` the classes of its products with the
+class representatives, which give the structure constants.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import permutations as _itt_permutations
 from math import factorial, lcm
@@ -216,19 +218,26 @@ class Group:
         """The representative row of each class, aligned with classes()."""
         return np.array([c.arr[0] for c in self.classes()])
 
+    def class_products(self) -> Iterator[np.ndarray]:
+        """For each class C_i in turn, the (|C_i|, k) array of the classes of
+        x^-1 z_l, for x in C_i and z_l the representative of class l (rows in
+        the order of C_i^-1): every product of G with the representatives, one
+        class of factors at a time."""
+        reps, classes = self.class_reps, self.classes()
+        inverses = np.argsort(reps, axis=1).astype(reps.dtype)
+        # C_i^-1 is the class of z_i^-1; products of rows of G are in G, so
+        # nothing is located twice
+        for dual in self.class_map[self.locator.locate(inverses)]:
+            yield self.class_map[self.locator.products(classes[dual].arr, reps)]
+
     @cached_property
     def structure_constants(self) -> np.ndarray:
-        """M[i][j][k] = #{x in C_i : x^-1 z_k in C_j}, z_k the representative of
-        class k: the class sums multiply as C_i C_j = sum_k M[i][j][k] C_k."""
+        """M[i][j][l] = #{x in C_i : x^-1 z_l in C_j}, z_l the representative of
+        class l: the class sums multiply as C_i C_j = sum_l M[i][j][l] C_l."""
         k = len(self.classes())
-        M = np.empty((k, k, k), dtype=np.int64)
-        for i, Ci in enumerate(self.classes()):
-            Ainv = np.argsort(Ci.arr, axis=1).astype(Ci.arr.dtype)
-            # x in C_i with x^-1 z_kk in class j is counted at j*k + kk; both
-            # blocks are rows of G (inverted), so nothing is located twice
-            pairs = self.class_map[self.locator.products(Ainv, self.class_reps)] * k + np.arange(k)
-            M[i] = np.bincount(pairs.ravel(), minlength=k * k).reshape(k, k)
-        return M
+        # x in C_i with x^-1 z_l in class j is counted at j*k + l
+        return np.array([np.bincount((b * k + np.arange(k)).ravel(), minlength=k * k).reshape(k, k)
+                         for b in self.class_products()])
 
     def class_index_of(self, p: Perm) -> int:
         """Index into classes() of the class containing p."""

@@ -15,10 +15,7 @@ count, the signature, the spectrum and decomposition (one eigensolve) and
 the Casimir all come from them.  The signature is decided one block per
 rational central idempotent of QG, on matrices of total size r = sum of
 m_i^2 (_orbital_signature).  A universal form is one component, and its
-signature comes in closed form from Roth's property (_universal_signature),
-decided on a Gram read off the class structure constants; the same Gram from
-located products is a test oracle (class_sum_gram_located in
-tests/form_oracle.py).
+signature comes in closed form from Roth's property (_universal_signature).
 The dense matrix, with `signature`, `spectrum` and `connected_components`,
 decides the rest and stays the test oracle.
 """
@@ -226,10 +223,14 @@ def universal_killing(G: Group, cap: int = MATRIX_CAP, include_identity: bool = 
 def _class_sum_gram(G: Group) -> IntSymMatrix:
     """S = Ind^T F Ind for F[a][b] = |Z(ab)| over G and Ind the class indicator
     vectors: S[j][l] = |C_j| * sum over y in C_l of |Z(g_j y)|.  Counting the
-    pairs in C_j x C_l by the class C_m of their product, each with
-    |Z| = |G| / |C_m|, gives S[j][l] = |G| * sum over m of M_j[l][m], M the
-    class structure constants."""
-    return IntSymMatrix(G.order * G.structure_constants.sum(axis=2))
+    pairs by the class C_m of their product, |Z| = |G| / |C_m|, gives |G| times
+    the count of x in C_j with x^-1 z_m in C_l, over every representative z_m:
+    the structure constants summed over m, in k x k memory, not their k^3."""
+    k = len(G.classes())
+    S = np.empty((k, k), dtype=np.int64)
+    for j, block in enumerate(G.class_products()):
+        S[j] = G.order * np.bincount(block.ravel(), minlength=k)
+    return IntSymMatrix(S)
 
 
 # group -> Roth's property, decided with the first call's seed; dropped with the group

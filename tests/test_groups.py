@@ -128,12 +128,12 @@ def test_projective_groups_keep_their_point_labelling(build, q):
     assert digests == PINNED_DIGESTS[build, q]
 
 
-
 def test_make_psu33_regenerates_the_data_file_byte_for_byte():
     spec = importlib.util.spec_from_file_location("make_psu33", ROOT / "tools" / "make_psu33.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.psu33_text() == (ROOT / "data" / "psu33.grp").read_text(encoding="utf-8")
+
 
 def test_s4_class_sizes():
     sizes = sorted(c.size for c in conjugacy_classes(symmetric_group(4)) if not c.is_trivial())

@@ -1,4 +1,5 @@
 """Killing form construction against hand-checked matrices and the brute-force route."""
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -229,14 +230,35 @@ def small_permutation_groups(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(small_permutation_groups())
-def test_class_sum_gram_from_structure_constants_matches_located_products(G):
-    assert killing._class_sum_gram(G) == class_sum_gram_located(G)
+def test_class_sum_gram_matches_located_products_and_structure_constants(G):
+    S = killing._class_sum_gram(G)
+    assert S == class_sum_gram_located(G)
+    assert S.data.tolist() == (G.order * G.structure_constants.sum(axis=2)).tolist()
 
 
 @pytest.mark.parametrize("spec", ["file:data/psu33.grp", "file:data/m11.grp"])
-def test_class_sum_gram_from_structure_constants_on_shipped_groups(spec):
+def test_class_sum_gram_matches_located_products_on_shipped_groups(spec):
     G = build_named_group(spec)
     assert killing._class_sum_gram(G) == class_sum_gram_located(G)
+
+
+def test_universal_form_of_an_elementary_abelian_group_of_order_512():
+    # k = |G| = 512 classes: the Gram is counted in k x k memory, where the
+    # (k, k, k) structure constants would take 1 GB
+    n = 9
+    G = generate_group([Perm.parse(f"({2 * i + 1},{2 * i + 2})", degree=2 * n) for i in range(n)])
+    k = len(G.classes())
+    assert k == G.order == 512
+    tracemalloc.start()
+    try:
+        S = killing._class_sum_gram(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * k * k * 8
+    assert exact_rank(S) == 1  # every entry is |G|: Roth's property fails
+    # every entry of the form is |Z(ab)| - 1 = |G| - 1 > 0: rank one, positive
+    assert analyze(universal_killing(G)).analysis.signature.astuple() == (1, 0, G.order - 2)
 
 
 @settings(max_examples=60, deadline=None)
