@@ -790,28 +790,24 @@ def _nullity_mod_p(S: np.ndarray, w: np.ndarray, lams: list[int]) -> int:
     seeded 22-bit prime p that divides no w, from one elimination.
 
     The product is (S - lam_1 W) W^-1 (S - lam_2 W) ... W^-1 (S - lam_m W),
-    symmetric as its factors commute.  Entries stay in [0, p): each product
-    is one float64 matmul where r (p - 1)^2 < 2^53 keeps its sums exact, and
-    `_matmul_mod` beyond; no r x r matrix is formed for W or for I."""
+    symmetric as its factors commute.  Entries stay in [0, p), each product
+    by `_matmul_mod`; no r x r matrix is formed for W or for I."""
     rng = random.Random(0)
     p = random_prime_22(rng)
     while (w % p == 0).any():
         p = random_prime_22(rng)
     r, diagonal = len(w), np.diag_indices(len(w))
-    exact_in_float = r * (p - 1) ** 2 < 1 << 53
-    dtype = np.float64 if exact_in_float else np.int64
     sizes, at = np.unique(w, return_inverse=True)  # few distinct orbit sizes
     w_inv = np.array([pow(int(x), -1, p) for x in sizes], dtype=np.int64)[at]
-    A = (S % p * w_inv[:, None] % p).astype(dtype)  # W^-1 S
+    A = S % p * w_inv[:, None] % p  # W^-1 S
     P = S % p
     P[diagonal] = (P[diagonal] - lams[0] % p * (w % p)) % p
-    P = P.astype(dtype)
     for lam in lams[1:]:
         # P (W^-1 S - lam I) = P A - lam P
-        PA = P @ A if exact_in_float else _matmul_mod(P, A, p)
+        PA = _matmul_mod(P, A, p)
         PA -= lam % p * P
         P = np.mod(PA, p, out=PA)
-    return r - rank_mod_p(IntSymMatrix(P.astype(np.int64)), p)
+    return r - rank_mod_p(IntSymMatrix(P), p)
 
 
 def _integral_certified(S: np.ndarray, w: np.ndarray, lam: int, size: int) -> bool:

@@ -136,11 +136,16 @@ def _gf_block_width(p: int, cap: int = 64) -> int:
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B mod p as int64 in [0, p), exact for p < 2**31.
 
-    Both factors are reduced mod p and split into 16-bit limbs; each limb
-    product is a float64 matmul whose sums stay below 2**53, so it is exact,
-    for inner dimensions up to 2**21.  A is taken 256 rows at a time, so the
-    limbs of a large A are never all held at once.
+    Both factors are reduced mod p.  Where n (p - 1)**2 < 2**53, n the inner
+    dimension, every sum of a float64 matmul is an integer below 2**53, so
+    one such product is exact.  Otherwise the factors are split into 16-bit
+    limbs; each limb product is a float64 matmul whose sums stay below
+    2**53, for inner dimensions up to 2**21.  A is taken 256 rows at a time,
+    so the limbs of a large A are never all held at once.
     """
+    if A.shape[1] * (p - 1) ** 2 < 1 << 53:
+        product = np.mod(A, p).astype(np.float64) @ np.mod(B, p).astype(np.float64)
+        return np.mod(product, p, out=product).astype(np.int64)
     if A.shape[1] > 1 << 21:
         raise ValueError(f"inner dimension {A.shape[1]} exceeds 2**21")
     B = np.mod(B, p).astype(np.int64, copy=False)

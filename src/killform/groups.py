@@ -2,13 +2,14 @@
 
 Groups are fully enumerated: the survey operates at desk scale, default cap
 10^5 elements.  A group is stored as one array: its element image rows, in
-lexicographic order, built by a breadth-first closure on whole arrays of
-rows; a conjugacy class is stored the same way, as its member rows.
-`Group.locator` finds elements, and products of elements, among them by the
-images of a base (Sims 1970) through one integer table per base point; every
-element lookup goes through it.  `Group.class_map` gives the class of every
-element, and `Group.class_products` the classes of its products with the
-class representatives, which give the structure constants.
+lexicographic order, enumerated from a base and strong generating set found
+by Schreier–Sims (Sims 1970); a conjugacy class is stored the same way, as
+its member rows.  `Group.locator` finds elements, and products of elements,
+among them by the images of a base through one integer table per base
+point; every element lookup goes through it.  `Group.class_map` gives the
+class of every element, read off one labelling of the elements by their
+least conjugate, and `Group.class_products` the classes of its products
+with the class representatives, which give the structure constants.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import re
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import permutations as _itt_permutations
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,7 @@ class BaseLocator:
         array, for rows already known to be elements: only the base images
         a[b[beta]] of each product are formed, and nothing is checked, so a
         row outside the group gives a wrong index, not an error."""
-        return self._walk((len(A), len(B)), (pos[A][:, B[:, beta]]
+        return self._walk((len(A), len(B)), (pos.take(A)[:, B[:, beta]]
                                              for beta, pos in zip(self.base, self.positions)))
 
     @cached_property
@@ -139,27 +140,127 @@ class BaseLocator:
         return state
 
 
+# bounds the entries of the Schreier generators sifted at once
+_SIFT_ENTRIES = 1 << 20
+
+
+class _Level:
+    """One base point beta of a Schreier–Sims chain: the strong generators that
+    fix the base points before it, and the orbit of beta under them with the
+    row v_x (v_x(x) = beta) of each orbit point x."""
+
+    def __init__(self, beta: int, identity: np.ndarray):
+        self.beta, self.orbit, self.images = beta, [beta], []  # images: gens as lists
+        self.gens, self.V = identity[None, :][:0], identity[None]
+        self.pos = np.full(len(identity), -1, dtype=np.intp)
+        self.pos[beta] = 0
+
+    def add(self, s: np.ndarray) -> None:
+        """Take s as a strong generator and close the orbit breadth-first: a
+        point y = t(x) new from x by the generator t gets v_y = v_x t^-1."""
+        self.gens = np.vstack([self.gens, s])
+        self.images.append(s.tolist())
+        known, seen, tree = len(self.orbit), set(self.orbit), []
+        # the loop reaches the points it appends: s on the known points, then
+        # every generator on the new ones
+        for i, x in enumerate(self.orbit):
+            for t in range(len(self.images)) if i >= known else [-1]:
+                y = self.images[t][x]
+                if y not in seen:
+                    seen.add(y)
+                    self.orbit.append(y)
+                    tree.append((i, t))
+        self.pos[self.orbit[known:]] = np.arange(known, len(self.orbit))
+        self.V = np.concatenate([self.V, np.empty((len(tree), len(s)), dtype=s.dtype)])
+        for y, (i, t) in enumerate(tree, start=known):
+            self.V[y, self.gens[t]] = self.V[i]  # v_y(t(z)) = v_x(z)
+
+    def schreier_generators(self, pairs: np.ndarray) -> np.ndarray:
+        """The Schreier generator v_{s(x)} s v_x^-1 for each (orbit index of x,
+        generator index of s) row of pairs, by its values at v_x(y): v_{s(x)}(s(y))."""
+        x, s = np.take(self.orbit, pairs[:, 0]), self.gens[pairs[:, 1]]
+        values = np.take_along_axis(self.V[self.pos[s[np.arange(len(s)), x]]], s, axis=1)
+        out = np.empty_like(values)
+        out[np.arange(len(s))[:, None], self.V[pairs[:, 0]]] = values
+        return out
+
+
+def _sift(chain: list[_Level], X: np.ndarray) -> np.ndarray:
+    """Sift the rows of X in place through the levels of chain: at each level
+    x becomes v_{x(beta)} x.  Returns the index of the level where each row
+    dropped out, its image of beta outside the orbit; len(chain) if none."""
+    drop = np.full(len(X), len(chain))
+    alive = np.arange(len(X))
+    for i, level in enumerate(chain):
+        at = level.pos[X[alive, level.beta]]
+        drop[alive[at < 0]] = i
+        alive, at = alive[at >= 0], at[at >= 0]
+        X[alive] = np.take_along_axis(level.V[at], X[alive], axis=1)
+    return drop
+
+
+def _stabiliser_chain(generators: np.ndarray, identity: np.ndarray, cap: int) -> list[_Level]:
+    """A base and strong generating set of the group generated by the image
+    rows ``generators``, by deterministic Schreier–Sims (Sims 1970), as its
+    levels; CapExceeded as soon as the product of the orbit sizes exceeds cap.
+
+    Each generator is sifted through the chain, and each level, deepest
+    first, sifts its Schreier generators through the levels below it.  The
+    first residue that is not the identity becomes a strong generator of the
+    levels down to where it dropped out (of a new level at its first moved
+    point if it sifted through), and the work resumes there; a level sifts
+    all its Schreier generators again on each visit.  Each orbit is at most
+    its index in the stabiliser chain of G, so the product exceeds cap only
+    when |G| does.
+    """
+    chain: list[_Level] = []
+    step = max(1, _SIFT_ENTRIES // len(identity))  # Schreier generators sifted at once
+
+    def strengthen(h: np.ndarray, first: int, last: int) -> None:
+        if last == len(chain):
+            chain.append(_Level(int(np.argmax(h != identity)), identity))
+        for level in chain[first:last + 1]:
+            level.add(h)
+        if prod(len(level.orbit) for level in chain) > cap:
+            raise CapExceeded(f"group closure exceeds cap {cap}")
+
+    for s in generators:
+        h = s[None].copy()
+        drop = _sift(chain, h)
+        if (h != identity).any():
+            strengthen(h[0], 0, drop[0])
+    i = len(chain) - 1
+    while i >= 0:
+        level = chain[i]
+        pairs = np.indices((len(level.orbit), len(level.gens))).reshape(2, -1).T
+        for c in range(0, len(pairs), step):
+            X = level.schreier_generators(pairs[c:c + step])
+            drop = _sift(chain[i + 1:], X)
+            bad = np.flatnonzero((X != identity).any(axis=1))
+            if len(bad):
+                strengthen(X[bad[0]], i + 1, i + 1 + drop[bad[0]])
+                i += 1 + drop[bad[0]]
+                break
+        else:
+            i -= 1
+    return chain
+
+
 def _closure(generators: np.ndarray, degree: int, cap: int) -> np.ndarray:
     """Rows of the group generated by the image rows ``generators``, sorted
     lexicographically; CapExceeded as soon as the group has more than ``cap``.
 
-    Each row is held as one opaque bytes key.  Breadth-first: each step maps
-    the frontier through every generator and inserts the keys not yet among
-    the sorted keys seen; they are the next frontier.
+    The base and strong generating set come first (`_stabiliser_chain`), so
+    a group over the cap is refused before any of its elements is formed.
+    The elements are then the products v_k ... v_1 of one row per level,
+    each formed once, with no deduplication.
     """
-    generators = np.asarray(generators, dtype=_row_dtype(degree)).reshape(-1, degree)
-    key = np.dtype((np.void, degree * generators.itemsize))
-    seen = frontier = np.arange(degree, dtype=generators.dtype).view(key)
-    while len(frontier):
-        rows = frontier.view(generators.dtype).reshape(-1, degree)
-        keys = np.unique(np.ascontiguousarray(generators[:, rows]).view(key))
-        at = np.searchsorted(seen, keys)
-        new = seen[np.minimum(at, len(seen) - 1)] != keys
-        if len(seen) + new.sum() > cap:
-            raise CapExceeded(f"group closure exceeds cap {cap}")
-        seen = np.insert(seen, at[new], keys[new])
-        frontier = keys[new]
-    rows = seen.view(generators.dtype).reshape(-1, degree)
+    identity = np.arange(degree, dtype=_row_dtype(degree))
+    generators = np.asarray(generators, dtype=identity.dtype).reshape(-1, degree)
+    chain = _stabiliser_chain(generators, identity, cap)
+    rows = identity[None]
+    while chain:  # each level's rows are let go once used
+        rows = chain.pop(0).V[:, rows].reshape(-1, degree)
     return rows[np.lexsort(rows.T[::-1])]
 
 
@@ -244,12 +345,9 @@ class Group:
         return int(self.class_map[self.index(p)])
 
     def centre(self) -> list[Perm]:
-        gen_arrs = [np.array(g.images) for g in self.generators]
-        arr = self.arr
-        mask = np.ones(self.order, dtype=bool)
-        for g in gen_arrs:
-            mask &= (arr[:, g] == g[arr]).all(axis=1)
-        return [Perm(row) for row in arr[mask].tolist()]
+        """The elements alone in their class, in the order of .arr."""
+        sizes = np.array([c.size for c in self.classes()])
+        return [Perm(row) for row in self.arr[sizes[self.class_map] == 1].tolist()]
 
     def exponent(self) -> int:
         return lcm(*(c.element_order for c in self.classes()))
@@ -312,7 +410,7 @@ def _commuting_counts(members: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def generate_group(generators: list[Perm], name: str = "", degree: int | None = None,
                    cap: int = DEFAULT_ELEMENT_CAP) -> Group:
-    """Enumerate the group generated by ``generators`` (BFS closure)."""
+    """Enumerate the group generated by ``generators`` (Schreier–Sims)."""
     if generators:
         degrees = {g.degree for g in generators}
         if len(degrees) != 1:
@@ -331,28 +429,28 @@ def conjugacy_classes(G: Group) -> list[ConjClass]:
 
     Each generator g acts on element indices by h -> g h g^-1, read off the
     base images of the conjugates (`BaseLocator.conjugates`); the classes are
-    the orbits of these index permutations.  Elements are sorted, so the
-    smallest index in a class is its lexicographically smallest member, the
-    representative.  Also fills G's class map.
+    the orbits of these index permutations.  Every element is labelled with
+    the least index of its orbit by min-label propagation: each step takes
+    the least of an element's label, the labels of its images and preimages,
+    then the label of that label, until no label moves.  Elements are sorted,
+    so the least index in a class is its lexicographically smallest member,
+    the representative.  Also fills G's class map.
     """
     arr = G.arr
     gens = np.array([g.images for g in G.generators], dtype=arr.dtype).reshape(-1, G.degree)
     # each generator's row in arr, as the product g * e, from its base images
     conj = G.locator.conjugates(arr, G.locator.products(gens, arr[:1])[:, 0]).T
-    unseen = np.ones(G.order, dtype=bool)
+    label, last = np.arange(G.order), None
+    while not np.array_equal(label, last):
+        last, label = label, label.copy()
+        for c in conj:
+            np.minimum(label, label[c], out=label)
+            label[c] = np.minimum(label[c], label)  # c is a permutation: no index repeats
+        label = label[label]
+    members = np.argsort(label, kind="stable")
+    seeds, sizes = np.unique(label, return_counts=True)
     raw = []
-    left, seed = G.order, 0
-    while left:
-        # the first unseen index; argmax of a bool array stops at the first True
-        seed += int(np.argmax(unseen[seed:]))
-        unseen[seed] = False
-        layers = [np.array([seed])]
-        while layers[-1].size:
-            frontier = np.unique(np.array([c[layers[-1]] for c in conj], dtype=np.intp))
-            layers.append(frontier[unseen[frontier]])
-            unseen[layers[-1]] = False
-        idx = np.sort(np.concatenate(layers))
-        left -= idx.size
+    for seed, idx in zip(seeds.tolist(), np.split(members, np.cumsum(sizes)[:-1])):
         cl = ConjClass(arr[idx])
         raw.append((cl.element_order, cl.size, seed, idx, cl))
     raw.sort(key=lambda t: t[:3])

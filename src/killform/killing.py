@@ -289,8 +289,7 @@ class _OrbitalData:
     The class sums A_j[s, t] = #{h in C_j : h x_s h^-1 in O_t} are the sums
     over b in O_t of tau[moved[s, b], j], with moved[s, b] the index in C of
     c_s^-1 b c_s (formed on first read), so they are linear in tau's columns:
-    class_sum(u) = sum_j u[j] A_j is one r x r, formed from tau u alone.  All
-    k of them, A, are formed only for the tests."""
+    class_sum(u) = sum_j u[j] A_j is one r x r, formed from tau u alone."""
 
     def __init__(self, first: np.ndarray, orbit_of: np.ndarray, w: np.ndarray, S: np.ndarray,
                  tau: np.ndarray, first_rows: np.ndarray, starts: np.ndarray, conjugated):
@@ -310,10 +309,6 @@ class _OrbitalData:
         for s in range(0, len(moved), step):
             out[s:s + step] = np.add.reduceat(values[moved[s:s + step]], self.starts, axis=1)
         return out
-
-    @cached_property
-    def A(self) -> np.ndarray:
-        return np.array([self.class_sum(u) for u in np.eye(self.tau.shape[1], dtype=np.int64)])
 
     @cached_property
     def eigenspaces(self) -> tuple[list[tuple[int, int, float, bool]], np.ndarray, list]:

@@ -52,12 +52,12 @@ def dense_fills(monkeypatch):
 
 @pytest.fixture
 def class_sum_reads(monkeypatch):
-    """The orbit counts r of the orbital data whose class sums
-    `_OrbitalData.A` are read during the test, one entry per read."""
+    """The orbital data of each `_OrbitalData.class_sum` call during the
+    test, one entry per call."""
     reads = []
-    class_sums = killing._OrbitalData.A
-    recording = property(lambda D: reads.append(len(D.w)) or class_sums.__get__(D, type(D)))
-    monkeypatch.setattr(killing._OrbitalData, "A", recording)
+    class_sum = killing._OrbitalData.class_sum
+    monkeypatch.setattr(killing._OrbitalData, "class_sum",
+                        lambda D, u: reads.append(D) or class_sum(D, u))
     return reads
 
 

@@ -5,7 +5,8 @@ A form's basis as Perms; sparse group-algebra vectors with exact
 coefficients; the form applied and paired entry by entry; the class form from
 the double loop over |Z(ab) ∩ C|; Roth's class-sum Gram from a located block
 of products; the paper's nondegeneracy witness m for the universal calculus;
-the central character of a class; and the rank by Bareiss elimination alone.
+the central character of a class; all the class sums of a class form on its
+orbits; and the rank by Bareiss elimination alone.
 """
 import weakref
 from fractions import Fraction
@@ -163,6 +164,12 @@ def central_character(T: CharTable, C: ConjClass, i: int) -> complex:
         if lab == C.label and size == C.size:
             return size * T.chars[i][j] / T.degrees[i]
     raise ValueError(f"class {C.label} (size {C.size}) not in table {T.name}")
+
+
+def class_sums(orbital) -> np.ndarray:
+    """The (k, r, r) class sums A_j of a class form's orbital data
+    (`killing._OrbitalData`), one `class_sum` per class of G."""
+    return np.array([orbital.class_sum(u) for u in np.eye(orbital.tau.shape[1], dtype=np.int64)])
 
 
 def exact_rank_bareiss(M: IntSymMatrix, cap: int = EXACT_CAP) -> int:

@@ -1,13 +1,16 @@
 """Permutation and group checks that only the tests need.
 
 The sign, conjugate and extension of a single Perm, products of rows checked
-to be elements, centraliser orders from a direct commuting count, and the
-simplicity test by class generation: each nontrivial class of a simple group
-generates it.
+to be elements, centraliser orders from a direct commuting count, the
+breadth-first closure of generators and the centre from their commuting, and
+the simplicity test by class generation: each nontrivial class of a simple
+group generates it.
 """
 import numpy as np
 
-from killform.groups import BaseLocator, ConjClass, Group, _closure, _commuting_counts
+from killform.errors import CapExceeded
+from killform.groups import (BaseLocator, ConjClass, Group, _closure, _commuting_counts,
+                             _row_dtype)
 from killform.perms import Perm
 
 
@@ -39,6 +42,35 @@ def product_indices(locator: BaseLocator, A: np.ndarray, B: np.ndarray) -> np.nd
 def centralizer_count(G: Group, g: Perm) -> int:
     """|Z(g)| in G."""
     return int(_commuting_counts(G.arr, G.arr[[G.index(g)]])[0])
+
+
+def bfs_closure(generators: np.ndarray, degree: int, cap: int) -> np.ndarray:
+    """`groups._closure` by breadth-first search: each row is held as one
+    opaque bytes key; each step maps the frontier through every generator and
+    inserts the keys not yet among the sorted keys seen, the next frontier."""
+    generators = np.asarray(generators, dtype=_row_dtype(degree)).reshape(-1, degree)
+    key = np.dtype((np.void, degree * generators.itemsize))
+    seen = frontier = np.arange(degree, dtype=generators.dtype).view(key)
+    while len(frontier):
+        rows = frontier.view(generators.dtype).reshape(-1, degree)
+        keys = np.unique(np.ascontiguousarray(generators[:, rows]).view(key))
+        at = np.searchsorted(seen, keys)
+        new = seen[np.minimum(at, len(seen) - 1)] != keys
+        if len(seen) + new.sum() > cap:
+            raise CapExceeded(f"group closure exceeds cap {cap}")
+        seen = np.insert(seen, at[new], keys[new])
+        frontier = keys[new]
+    rows = seen.view(generators.dtype).reshape(-1, degree)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def centre(G: Group) -> list[Perm]:
+    """The elements of G that commute with every generator, in .arr order."""
+    mask = np.ones(G.order, dtype=bool)
+    for g in G.generators:
+        g = np.array(g.images)
+        mask &= (G.arr[:, g] == g[G.arr]).all(axis=1)
+    return [Perm(row) for row in G.arr[mask].tolist()]
 
 
 def class_generates(G: Group, C: ConjClass) -> bool:

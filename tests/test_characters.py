@@ -2,13 +2,14 @@
 import cmath
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from decomposition_oracle import dense_decomposition
-from form_oracle import central_character
+from form_oracle import central_character, class_sums
 from golden_survey import GROUP_SPECS
 from group_strategies import permutation_groups_up_to_degree_8
 from table_oracle import oracle_table
@@ -475,11 +476,14 @@ def test_decompose_reads_no_class_sums(class_sum_reads, capsys):
     assert class_sum_reads == []
 
 
-def test_survey_reads_no_class_sums(class_sum_reads):
+def test_survey_forms_one_class_sum_per_idempotent_and_class(class_sum_reads):
     # every nontrivial class of A5 has its signature decided on the orbits,
     # from one sum of class sums per idempotent, formed from tau
     report = cmd_survey("A5")
-    assert report.exit_code == 0 and class_sum_reads == []
+    idempotents = characters.rational_idempotents(alternating_group(5))
+    per_class = Counter(map(id, class_sum_reads))
+    assert report.exit_code == 0 and len(per_class) == 4
+    assert set(per_class.values()) == {len(idempotents)}
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
@@ -488,9 +492,9 @@ def test_class_sums_formed_from_tau_match_the_dense_class_sums(spec):
     idempotents = characters.rational_idempotents(G)
     for C in G.classes()[1:]:
         orbital = killing._orbital_data(killing_matrix(G, C))
+        A = class_sums(orbital)
         for _, u in idempotents:
-            assert np.array_equal(orbital.class_sum(u), np.tensordot(u, orbital.A, axes=1)), \
-                C.label
+            assert np.array_equal(orbital.class_sum(u), np.tensordot(u, A, axes=1)), C.label
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
@@ -500,7 +504,7 @@ def test_first_rows_give_the_conjugation_character_multiplicities(spec):
     X = np.array(T.chars, dtype=complex)
     for C in G.classes()[1:]:
         orbital = killing._orbital_data(killing_matrix(G, C))
-        assert np.array_equal(orbital.first_rows, orbital.A[:, 0, :]), C.label
+        assert np.array_equal(orbital.first_rows, class_sums(orbital)[:, 0, :]), C.label
         # the decomposition's sum with Pi = I: (|C| / |G|) sum_j chi_i(g_j) A_j[0, 0]
         Pi = np.eye(len(orbital.w))
         m = (C.size / G.order * (X @ (orbital.first_rows / np.sqrt(orbital.w)) @ Pi[:, 0])).real
@@ -698,8 +702,9 @@ def test_clusters_that_round_to_one_integer_get_the_per_lambda_verdicts(exact):
 @pytest.mark.parametrize("blocks", [30, 320])
 def test_the_nullity_mod_p_of_the_product(monkeypatch, blocks):
     # 2 x 2 blocks w [[a, b], [b, a]] in a shuffled basis: W^-1 S has the
-    # eigenvalues a +- b.  With 640 rows r (p - 1)^2 passes 2^53 for the
-    # seeded prime, 3795569, and the products take `_matmul_mod`.
+    # eigenvalues a +- b.  Both products take `_matmul_mod`: one float64
+    # product at 60 rows, the limbs at 640, where r (p - 1)^2 passes 2^53
+    # for the seeded prime, 3795569.
     rng = np.random.default_rng(blocks)
     a, b, w = rng.integers(0, 4, blocks), rng.integers(1, 3, blocks), rng.integers(1, 4, blocks)
     S = np.zeros((2 * blocks, 2 * blocks), dtype=np.int64)
@@ -714,7 +719,7 @@ def test_the_nullity_mod_p_of_the_product(monkeypatch, blocks):
     lams = [-1, 1, 2]
     assert characters._nullity_mod_p(S, w, lams) == \
         np.isin(a + b, lams).sum() + np.isin(a - b, lams).sum()
-    assert len(products) == (2 if blocks == 320 else 0)
+    assert products == [(2 * blocks, 2 * blocks)] * 2
 
 
 def test_an_integral_nullity_other_than_the_cluster_size_is_a_mismatch_at_once(fallbacks):

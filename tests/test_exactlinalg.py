@@ -579,3 +579,20 @@ def test_matmul_mod_is_exact_below_2_31(rows, inner):
     got = _matmul_mod(A, B, p)
     assert got.dtype == np.int64
     assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p", [4194301, 2**31 - 1])
+@pytest.mark.parametrize("past", [False, True])
+def test_matmul_mod_is_exact_at_its_float_threshold(p, past):
+    # the least inner dimension n with n (p - 1)^2 >= 2^53 (513 and 1): one
+    # float64 product just below it, the limbs from it on, where a float64
+    # product of these residues near p would round
+    n = -(-(1 << 53) // (p - 1) ** 2) - (not past)
+    rng = np.random.default_rng(n)
+    A = rng.integers(p - 2000, p, size=(50, n))
+    B = rng.integers(p - 2000, p, size=(n, 3))
+    A[0], B[:, 0] = p - 1, p - 1
+    want = (A.astype(object) @ B.astype(object)) % p
+    got = _matmul_mod(A, B, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()

@@ -2,16 +2,19 @@ import hashlib
 import importlib.util
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from conftest import WIDE_S5_GRP
-from group_oracle import (centralizer_count, class_generates, is_simple_via_classes,
-                          product_indices, sign)
+from group_oracle import (bfs_closure, centralizer_count, centre, class_generates,
+                          is_simple_via_classes, product_indices, sign)
+from group_strategies import permutation_groups_up_to_degree_8
 
 from killform import groups
 from killform.cli import resolve_class
@@ -294,6 +297,42 @@ def test_closure_matches_tuple_closure(spec):
     assert g.elements == tuple(map(Perm, want))
 
 
+def _generator_rows(g) -> np.ndarray:
+    return np.array([s.images for s in g.generators], dtype=g.arr.dtype).reshape(-1, g.degree)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(permutation_groups_up_to_degree_8())
+def test_schreier_sims_matches_the_bfs_closure(g):
+    gens = _generator_rows(g)
+    want = bfs_closure(gens, g.degree, cap=3000)
+    assert g.arr.dtype == want.dtype and np.array_equal(g.arr, want)
+    # the cap is exact: a group of order cap builds, one over it is refused
+    assert np.array_equal(groups._closure(gens, g.degree, cap=g.order), want)
+    if g.order > 1:
+        with pytest.raises(CapExceeded, match=f"cap {g.order - 1}"):
+            groups._closure(gens, g.degree, cap=g.order - 1)
+
+
+@pytest.mark.parametrize("gens, degree", [([], 1), ([], 5), ([[0, 1, 2]], 3),
+                                          ([[1, 0, 2], [1, 0, 2]], 3)])
+def test_schreier_sims_of_no_or_repeated_generators_matches_the_bfs_closure(gens, degree):
+    got = groups._closure(gens, degree, cap=2)
+    assert got.dtype == np.uint8 and np.array_equal(got, bfs_closure(gens, degree, cap=2))
+
+
+@pytest.mark.parametrize("spec", ["S12", "S100"])
+def test_a_group_over_the_cap_is_refused_before_its_elements_are_formed(spec):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="group closure exceeds cap 100000"):
+            build_named_group(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("spec", CLOSURE_GROUPS[1:])
 def test_class_generates_matches_tuple_closure(spec):
     g = _group(spec)
@@ -425,6 +464,16 @@ def test_conjugacy_classes_match_perm_bfs(spec):
     for ci, c in enumerate(classes):
         assert c.arr.tolist() == [list(m.images) for m in c.members]
         assert (g.class_map[g.locator.locate(c.arr)] == ci).all()
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(permutation_groups_up_to_degree_8())
+def test_classes_and_centre_match_the_oracles_on_random_groups(g):
+    classes = conjugacy_classes(g)
+    assert [(c.label, c.members) for c in classes] == _classes_by_perm_bfs(g)
+    for ci, c in enumerate(classes):
+        assert (g.class_map[g.locator.locate(c.arr)] == ci).all()
+    assert g.centre() == centre(g)
 
 
 def test_centralizer_counts_s3():
@@ -561,6 +610,12 @@ def test_centre():
     assert symmetric_group(3).centre() == [Perm.identity(3)]
     cyclic = generate_group([Perm.parse("(1,2,3,4)", 4)])
     assert len(cyclic.centre()) == 4
+
+
+@pytest.mark.parametrize("spec", LOCATOR_GROUPS)
+def test_centre_is_the_elements_alone_in_their_class(spec):
+    g = _group(spec)
+    assert g.centre() == centre(g)
 
 
 def test_exponent():

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from casimir_oracle import dense_casimir
 from form_oracle import (AlgebraVector, ZeroMultiplicity, apply_form, basis, basis_index,
-                         class_sum_gram_located, killing_matrix_bruteforce, m_vector, pairing,
-                         theta_vector)
+                         class_sum_gram_located, class_sums, killing_matrix_bruteforce, m_vector,
+                         pairing, theta_vector)
 from group_oracle import centralizer_count, conj_by
 from group_strategies import permutation_groups_up_to_degree_8
 from killform import characters, cli, exactlinalg, killing
@@ -330,7 +330,7 @@ def test_orbital_class_sums_match_the_bruteforce(spec):
         orbital = killing._orbital_data(killing_matrix(G, C))
         first, w, A = _orbital_data_bruteforce(G, C)
         assert np.array_equal(orbital.first, first) and np.array_equal(orbital.w, w)
-        assert np.array_equal(orbital.A, A), (spec, C.label)
+        assert np.array_equal(class_sums(orbital), A), (spec, C.label)
 
 
 def test_survey_of_psu33_passes_no_class_sized_matrix(monkeypatch):
@@ -353,7 +353,7 @@ def test_survey_of_psu33_passes_no_class_sized_matrix(monkeypatch):
 def _block_ranks(G, C):
     """rho = tr E_O of each idempotent's block with rho > 0, in the order of
     rational_idempotents, from the dense class sums."""
-    A = killing._orbital_data(killing_matrix(G, C)).A
+    A = class_sums(killing._orbital_data(killing_matrix(G, C)))
     ranks = [d * int(np.trace(np.tensordot(u, A, axes=1))) // G.order
              for d, u in characters.rational_idempotents(G)]
     return [rho for rho in ranks if rho]
