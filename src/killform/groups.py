@@ -4,12 +4,13 @@ Groups are fully enumerated: the survey operates at desk scale, default cap
 10^5 elements.  A group is stored as one array: its element image rows, in
 lexicographic order, enumerated from a base and strong generating set found
 by Schreier–Sims (Sims 1970); a conjugacy class is stored the same way, as
-its member rows.  `Group.locator` finds elements, and products of elements,
-among them by the images of a base through one integer table per base
-point; every element lookup goes through it.  `Group.class_map` gives the
-class of every element, read off one labelling of the elements by their
-least conjugate, and `Group.class_products` the classes of its products
-with the class representatives, which give the structure constants.
+its member rows.  `Group.locator`, built from the same stabiliser chain as
+the elements, finds elements, their products and conjugates among them by
+the images of its base, one integer table per base point; every element
+lookup goes through it.  `Group.class_map` gives the class of every element,
+read off one labelling of the elements by their least conjugate, and
+`Group.class_products` the classes of its products with the class
+representatives, which give the structure constants.
 """
 from __future__ import annotations
 
@@ -50,40 +51,19 @@ def _row_dtype(degree: int) -> np.dtype:
 class BaseLocator:
     """Finds elements of a group by their images of a base (Sims 1970).
 
-    ``arr`` holds the group's element rows, identity first.  Each base point
-    is the first point moved by the pointwise stabiliser of the points before
-    it, so the images of the base determine an element.  Level i keeps an
-    int32 table from (prefix state, position of x(beta_i) in the G-orbit of
-    beta_i) to the next state, -1 where no element has that prefix; the last
-    state is the row index in ``arr``.
+    ``arr`` holds the group's element rows, identity first, and ``base`` the
+    base of the stabiliser chain they were formed from (`_closure`), so the
+    images of the base determine an element.  Level i keeps an int32 table
+    from (prefix state, position of x(beta_i) in the G-orbit of beta_i) to
+    the next state, -1 where no element has that prefix; the last state is
+    the row index in ``arr``.  ``preimages`` holds h^-1(beta) for each base
+    point beta (rows) and element h (columns), in the row dtype.
     """
 
-    def __init__(self, arr: np.ndarray):
-        self.arr = arr
-        order, degree = arr.shape
-        self.base = []
-        stab = arr
-        while len(stab) > 1:
-            beta = int(np.argmax((stab != np.arange(degree)).any(axis=0)))
-            self.base.append(beta)
-            stab = stab[stab[:, beta] == beta]
-        self.positions, self.tables = [], []
-        state, n_states = np.zeros(order, dtype=np.int32), 1
-        for level, beta in enumerate(self.base):
-            orbit = np.unique(arr[:, beta])
-            pos = np.full(degree, -1, dtype=np.int32)
-            pos[orbit] = np.arange(len(orbit), dtype=np.int32)
-            key = state * len(orbit) + pos[arr[:, beta]]
-            prefixes, nxt = np.unique(key, return_inverse=True)
-            if level == len(self.base) - 1:
-                if len(prefixes) != order:
-                    raise ValueError("the images of the base do not determine the elements")
-                nxt = np.arange(order)
-            table = np.full((n_states, len(orbit)), -1, dtype=np.int32)
-            table.ravel()[key] = nxt
-            self.positions.append(pos)
-            self.tables.append(table)
-            state, n_states = nxt.astype(np.int32), len(prefixes)
+    def __init__(self, arr: np.ndarray, base: list[int], positions: list[np.ndarray],
+                 tables: list[np.ndarray], preimages: np.ndarray):
+        self.arr, self.base, self.positions, self.tables = arr, base, positions, tables
+        self.preimages = preimages
 
     def locate(self, X: np.ndarray) -> np.ndarray:
         """Row index of each row of X; ElementNotInGroup if a row is absent."""
@@ -111,23 +91,16 @@ class BaseLocator:
         return self._walk((len(A), len(B)), (pos.take(A)[:, B[:, beta]]
                                              for beta, pos in zip(self.base, self.positions)))
 
-    @cached_property
-    def _base_preimages(self) -> np.ndarray:
-        """h^-1(beta) for each base point beta (rows) and element h (columns),
-        in the row dtype; formed on the first `conjugates`."""
-        return np.array([np.argmax(self.arr == beta, axis=1) for beta in self.base],
-                        dtype=self.arr.dtype)
-
     def conjugates(self, X: np.ndarray, H=slice(None)) -> np.ndarray:
         """Row index of h x h^-1 for each row x of X and h = arr[i], i in the
         index array H (all of G by default, read in place), as a (len(X), |H|)
         array; as for `products`, every row of X must be an element.  Only the
-        base images h(x(h^-1(beta))) are formed, h^-1(beta) from _base_preimages."""
+        base images h(x(h^-1(beta))) are formed, h^-1(beta) from ``preimages``."""
         rows = self.arr[H]
         cols = np.arange(len(rows))
         return self._walk((len(X), len(rows)),
                           (pos[rows[cols, X[:, pre[H]]]]
-                           for pos, pre in zip(self.positions, self._base_preimages)))
+                           for pos, pre in zip(self.positions, self.preimages)))
 
     def _walk(self, shape, columns) -> np.ndarray:
         """Row indices of the given shape, from the orbit positions of the base
@@ -246,33 +219,60 @@ def _stabiliser_chain(generators: np.ndarray, identity: np.ndarray, cap: int) ->
     return chain
 
 
-def _closure(generators: np.ndarray, degree: int, cap: int) -> np.ndarray:
-    """Rows of the group generated by the image rows ``generators``, sorted
-    lexicographically; CapExceeded as soon as the group has more than ``cap``.
+def _closure(generators: np.ndarray, degree: int, cap: int) -> BaseLocator:
+    """The locator of the group generated by the image rows ``generators``,
+    its rows sorted lexicographically; CapExceeded as soon as the group has
+    more than ``cap``.
 
     The base and strong generating set come first (`_stabiliser_chain`), so
     a group over the cap is refused before any of its elements is formed.
-    The elements are then the products v_k ... v_1 of one row per level,
-    each formed once, with no deduplication.
+    The elements are then the products u_1 ... u_k, u_x = v_x^-1, of one row
+    per level, each formed once, with no deduplication.  The same walk builds
+    the locator: state s of level i is the prefix R_s = u_1 ... u_(i-1), and
+    R_s u_x takes beta_i to R_s(x), as the later rows fix it.
     """
     identity = np.arange(degree, dtype=_row_dtype(degree))
     generators = np.asarray(generators, dtype=identity.dtype).reshape(-1, degree)
     chain = _stabiliser_chain(generators, identity, cap)
-    rows = identity[None]
-    while chain:  # each level's rows are let go once used
-        rows = chain.pop(0).V[:, rows].reshape(-1, degree)
-    return rows[np.lexsort(rows.T[::-1])]
+    base = [level.beta for level in chain]
+    # rows: R_s for each state s; pre: R_s^-1(beta) for each base point beta
+    rows, pre = identity[None], np.array(base, dtype=identity.dtype)[:, None]
+    positions, tables = [], []
+    while chain:
+        level = chain.pop(0)
+        images = rows[:, level.orbit]
+        pos = np.full(degree, -1, dtype=np.int32)
+        pos[images] = 0
+        orbit = np.flatnonzero(pos == 0)  # the G-orbit of beta_i
+        pos[orbit] = np.arange(len(orbit))
+        table = np.full((len(rows), len(orbit)), -1, dtype=np.int32)
+        np.put_along_axis(table, pos[images], np.arange(images.size).reshape(images.shape), 1)
+        positions.append(pos)
+        tables.append(table)
+        pre = level.V.T[pre].reshape(len(base), -1)  # (R_s u_x)^-1 = v_x R_s^-1
+        U = np.empty_like(level.V)
+        np.put_along_axis(U, level.V, identity[None], 1)
+        del level  # v_x is let go before the next rows are formed, and u_x after
+        rows = rows[:, U].reshape(-1, degree)
+        del U
+    order = np.lexsort(rows.T[::-1])
+    if tables:  # the last states become indices of the sorted rows
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order))
+        tables[-1] = np.where(tables[-1] < 0, -1, rank[tables[-1]])
+    return BaseLocator(rows[order], base, positions, tables, pre[:, order])
 
 
 class Group:
     """A permutation group held as ``arr``, the (order x degree) array of its
     element image rows in lexicographic order; the identity is row 0."""
 
-    def __init__(self, degree: int, generators: list[Perm], arr: np.ndarray, name: str = ""):
+    def __init__(self, degree: int, generators: list[Perm], locator: BaseLocator, name: str = ""):
         self.degree = degree
         self.generators = list(generators)
-        self.arr = arr
-        self.order = len(arr)
+        self.locator = locator  # finds elements and products of elements among the rows
+        self.arr = locator.arr
+        self.order = len(self.arr)
         self.name = name or f"group of order {self.order}"
         self.identity = Perm.identity(degree)
         self._classes = None
@@ -297,11 +297,6 @@ class Group:
             except ElementNotInGroup:
                 pass
         raise ElementNotInGroup(f"{p} not in {self.name}")
-
-    @cached_property
-    def locator(self) -> BaseLocator:
-        """Finds elements and products of elements among the rows of .arr."""
-        return BaseLocator(self.arr)
 
     def classes(self) -> list["ConjClass"]:
         if self._classes is None:
@@ -420,8 +415,8 @@ def generate_group(generators: list[Perm], name: str = "", degree: int | None = 
         degree = generators[0].degree
     elif degree is None:
         raise DegreeMismatch("empty generating set needs an explicit degree")
-    arr = _closure([g.images for g in generators], degree, cap)
-    return Group(degree, generators, arr, name=name)
+    return Group(degree, generators, _closure([g.images for g in generators], degree, cap),
+                 name=name)
 
 
 def conjugacy_classes(G: Group) -> list[ConjClass]:
@@ -607,7 +602,10 @@ def parse_group_file(path) -> tuple[str, int, list[Perm]]:
         else:
             if degree is None:
                 raise UnknownSpec(f"{path}:{lineno}: generator before degree line")
-            gens.append(Perm.parse(line, degree))
+            try:
+                gens.append(Perm.parse(line, degree))
+            except ValueError as exc:
+                raise UnknownSpec(f"{path}:{lineno}: {exc}") from None
     if name is None or degree is None:
         raise UnknownSpec(f"{path}: missing name/degree header")
     return name, degree, gens

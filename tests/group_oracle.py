@@ -83,7 +83,7 @@ def class_generates(G: Group, C: ConjClass) -> bool:
     gens = []
     while not in_sub[members].all():
         gens.append(C.arr[np.argmin(in_sub[members])])
-        sub = _closure(gens, G.degree, cap=G.order)
+        sub = _closure(gens, G.degree, cap=G.order).arr
         if len(sub) == G.order:
             return True
         in_sub[G.locator.locate(sub)] = True

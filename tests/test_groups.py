@@ -20,7 +20,6 @@ from killform import groups
 from killform.cli import resolve_class
 from killform.errors import CapExceeded, DegreeMismatch, ElementNotInGroup, UnknownSpec
 from killform.groups import (
-    BaseLocator,
     alternating_group,
     build_named_group,
     conjugacy_classes,
@@ -308,7 +307,7 @@ def test_schreier_sims_matches_the_bfs_closure(g):
     want = bfs_closure(gens, g.degree, cap=3000)
     assert g.arr.dtype == want.dtype and np.array_equal(g.arr, want)
     # the cap is exact: a group of order cap builds, one over it is refused
-    assert np.array_equal(groups._closure(gens, g.degree, cap=g.order), want)
+    assert np.array_equal(groups._closure(gens, g.degree, cap=g.order).arr, want)
     if g.order > 1:
         with pytest.raises(CapExceeded, match=f"cap {g.order - 1}"):
             groups._closure(gens, g.degree, cap=g.order - 1)
@@ -317,7 +316,7 @@ def test_schreier_sims_matches_the_bfs_closure(g):
 @pytest.mark.parametrize("gens, degree", [([], 1), ([], 5), ([[0, 1, 2]], 3),
                                           ([[1, 0, 2], [1, 0, 2]], 3)])
 def test_schreier_sims_of_no_or_repeated_generators_matches_the_bfs_closure(gens, degree):
-    got = groups._closure(gens, degree, cap=2)
+    got = groups._closure(gens, degree, cap=2).arr
     assert got.dtype == np.uint8 and np.array_equal(got, bfs_closure(gens, degree, cap=2))
 
 
@@ -413,24 +412,45 @@ def test_locator_rejects_rows_outside_the_group(spec):
                 product_indices(loc, A, B)
 
 
-def test_locator_built_lazily_under_racing_threads():
-    # survey --jobs shares one group between threads
-    g = psl2(7)
+def test_locator_shared_by_racing_threads():
+    # survey --jobs shares one group between threads, which locate, conjugate
+    # (_orbital_data) and multiply its elements at once
+    g, ref = psl2(7), psl2(7)
+    X = g.arr[::37]
+
+    def lookups(loc):
+        return loc.locate(g.arr), loc.conjugates(X), loc.products(X, g.arr)
+
+    want = lookups(ref.locator)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda: g.locator.locate(g.arr)) for _ in range(8)]
+            futures = [pool.submit(lookups, g.locator) for _ in range(8)]
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert all(r.tolist() == list(range(g.order)) for r in results)
+    assert want[0].tolist() == list(range(g.order))
+    assert all(np.array_equal(a, b) for got in results for a, b in zip(got, want))
 
 
-def test_locator_build_rejects_rows_its_base_cannot_tell_apart():
-    g = symmetric_group(4)
-    with pytest.raises(ValueError, match="base"):
-        BaseLocator(np.concatenate([g.arr, g.arr[5:6]]))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(permutation_groups_up_to_degree_8())
+def test_chain_built_locator_matches_explicit_compositions(g):
+    loc = g.locator
+    assert np.array_equal(loc.locate(g.arr), np.arange(g.order))
+    rng = np.random.default_rng(g.order)
+    A, B = g.arr[rng.integers(g.order, size=5)], g.arr[rng.integers(g.order, size=6)]
+    # a * b takes z to a[b[z]]
+    want = loc.locate(A[:, B].reshape(-1, g.degree)).reshape(5, 6)
+    assert np.array_equal(loc.products(A, B), want)
+    # h a h^-1 takes z to h[a[h^-1[z]]]
+    inverses = np.argsort(g.arr, axis=1)
+    want = np.array([loc.locate(np.take_along_axis(g.arr, a[inverses], axis=1)) for a in A])
+    assert np.array_equal(loc.conjugates(A), want)
+    want = np.array([np.argmax(g.arr == beta, axis=1) for beta in loc.base], dtype=g.arr.dtype)
+    assert loc.preimages.dtype == g.arr.dtype
+    assert np.array_equal(loc.preimages, want.reshape(len(loc.base), g.order))
 
 
 def _classes_by_perm_bfs(g):
@@ -522,7 +542,6 @@ def test_classes_build_one_perm_per_class(count_perms):
 def test_classes_locate_no_conjugate_rows(monkeypatch):
     # the conjugation permutations come from the base images of the conjugates
     g = psl2(13)
-    g.locator  # built before counting
     located = []
     locate = groups.BaseLocator.locate
     monkeypatch.setattr(groups.BaseLocator, "locate",

@@ -631,7 +631,6 @@ def test_cycle_type_route_matches_group_route(n):
 def test_class_form_checks_each_row_of_the_class_once(monkeypatch):
     G = alternating_group(7)
     C = class_by_label(G, "4A")  # 630 members: the form is built in two blocks of rows
-    G.locator  # built before counting
     located = []
     locate = BaseLocator.locate
     monkeypatch.setattr(BaseLocator, "locate",
