@@ -13,8 +13,9 @@ stay exact); each lifted vector is reconstructed as rationals over one shared
 denominator and the basis is verified exactly by one matrix product per
 31-bit prime; the verified nullity bounds the rank from above.  The Casimir
 solves L y = e_1 by the same lift, applied to [L | -e_1] (killing.casimir).
-Fraction-free Bareiss remains as the rank fallback when the lift stalls and,
-through exact_rank_bareiss in tests/form_oracle.py, as an independent oracle.
+One fraction-free symmetric elimination, `_exact_inertia`, is the exact
+fallback for both certificates: it gives the rank when the lift stalls and
+the inertia when the float eigenvalues do not separate.
 
 Floating eigenwork goes through LAPACK (numpy.linalg.eigh).
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -389,29 +389,43 @@ def _lift_nullspace(A: np.ndarray,
     return None
 
 
-def _rank_bareiss(M: IntSymMatrix) -> int:
-    """Fraction-free Bareiss elimination (exact, arbitrary-precision integers)."""
+def _exact_inertia(M: IntSymMatrix) -> tuple[int, int, int]:
+    """Inertia (positive, negative, zero) of M by fraction-free symmetric
+    elimination, in Python integers.
+
+    Each step pivots on the first active index k with a_kk != 0; the LDL^T
+    pivot a_kk / prev has the sign of a_kk * prev.  The active entries then
+    become (a_kk a_ij - a_ik a_kj) / prev, which by Sylvester's identity are
+    minors of the matrix eliminated, so every division is exact (Bareiss
+    1968).  If every active diagonal entry is 0 but some a_ij is not, row and
+    column j are added to row and column i, which makes a_ii = 2 a_ij: a
+    unimodular congruence on the active indices, so the matrix eliminated
+    stays congruent to M.  If every active entry is 0, the active indices are
+    the zeros of the inertia.
+    """
     a = [[int(x) for x in row] for row in M.data]
-    n = M.dim
-    prev = 1
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if a[i][col]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        pivot_val = a[r][col]
-        for i in range(r + 1, n):
-            row_i, row_r = a[i], a[r]
-            f = row_i[col]
-            for j in range(col, n):
-                row_i[j] = (row_i[j] * pivot_val - f * row_r[j]) // prev
-        prev = pivot_val
-        r += 1
-        if r == n:
-            break
-    return r
+    prev, pos, neg = 1, 0, 0
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is None:
+            pair = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), None)
+            if pair is None:
+                break
+            k, j = pair
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        row_k = a.pop(k)
+        d = row_k.pop(k)
+        if d * prev > 0:
+            pos += 1
+        else:
+            neg += 1
+        for row in a:
+            a_ik = row.pop(k)
+            row[:] = [(d * x - a_ik * y) // prev for x, y in zip(row, row_k)]
+        prev = d
+    return pos, neg, len(a)
 
 
 def exact_rank(M: IntSymMatrix, seed: int = 0, cap: int = EXACT_CAP) -> int:
@@ -423,73 +437,14 @@ def exact_rank(M: IntSymMatrix, seed: int = 0, cap: int = EXACT_CAP) -> int:
     if M.dim > cap:
         raise CapExceeded(f"dim {M.dim} exceeds exact cap {cap}")
     lifted = _lift_nullspace(M.data, random.Random(seed))
-    return _rank_bareiss(M) if lifted is None else lifted[0]  # Bareiss: slow, on a stall
+    if lifted is None:  # a stalled lift: slow, exact elimination
+        pos, neg, _ = _exact_inertia(M)
+        return pos + neg
+    return lifted[0]
 
 
 # ---------------------------------------------------------------------------
 # signature / spectrum / components
-
-def _exact_inertia_ldlt(M: IntSymMatrix) -> tuple[int, int, int]:
-    """Inertia by exact LDL^T with full symmetric pivoting (1x1 and 2x2 blocks)."""
-    n = M.dim
-    a = {}
-    for i in range(n):
-        for j in range(i, n):
-            a[(i, j)] = Fraction(int(M.data[i, j]))
-
-    def get(i, j):
-        return a[(i, j)] if i <= j else a[(j, i)]
-
-    def put(i, j, v):
-        a[(i, j) if i <= j else (j, i)] = v
-
-    active = list(range(n))
-    pos = neg = zero = 0
-    while active:
-        k = max(active, key=lambda i: abs(get(i, i)))
-        if get(k, k) != 0:
-            d = get(k, k)
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [i for i in active if i != k]
-            col = {i: get(i, k) for i in rest}
-            for x, i in enumerate(rest):
-                if col[i] == 0:
-                    continue
-                for j in rest[x:]:
-                    if col[j] != 0:
-                        put(i, j, get(i, j) - col[i] * col[j] / d)
-            active = rest
-            continue
-        # every active diagonal is zero: use a hyperbolic 2x2 pivot
-        pair = None
-        for ii, i in enumerate(active):
-            for j in active[ii + 1 :]:
-                if get(i, j) != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            zero += len(active)
-            break
-        k, l = pair
-        b = get(k, l)  # block [[0, b], [b, 0]]: inertia (1, 1)
-        pos += 1
-        neg += 1
-        rest = [i for i in active if i not in (k, l)]
-        colk = {i: get(i, k) for i in rest}
-        coll = {i: get(i, l) for i in rest}
-        for x, i in enumerate(rest):
-            for j in rest[x:]:
-                delta = (colk[i] * coll[j] + coll[i] * colk[j]) / b
-                if delta:
-                    put(i, j, get(i, j) - delta)
-        active = rest
-    return pos, neg, zero
-
 
 def signature(M: IntSymMatrix, seed: int = 0) -> Signature:
     n = M.dim
@@ -510,7 +465,7 @@ def signature(M: IntSymMatrix, seed: int = 0) -> Signature:
             f"float eigenvalue separation {kept_min:.3g} vs {disc_max:.3g} is below 10^3 "
             f"and dim {n} exceeds the exact-inertia fallback cap"
         )
-    pos, neg, z2 = _exact_inertia_ldlt(M)
+    pos, neg, z2 = _exact_inertia(M)
     if z2 != zero:
         raise SeparationFailure(f"rank certificate ({zero} zeros) disagrees with LDL^T ({z2})")
     return Signature(pos, neg, zero)

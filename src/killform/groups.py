@@ -587,7 +587,11 @@ def parse_group_file(path) -> tuple[str, int, list[Perm]]:
     name = None
     degree = None
     gens = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnknownSpec(f"{path}: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -631,9 +635,4 @@ def build_named_group(spec: str, cap: int = DEFAULT_ELEMENT_CAP) -> Group:
     if m.group("q3"):
         return psl3(int(m.group("q3")), cap=cap)
     name, degree, gens = parse_group_file(m.group("path"))
-    if not gens:
-        return generate_group([], name=name, degree=degree, cap=cap)
-    g = generate_group(gens, name=name, cap=cap)
-    if g.degree != degree:
-        raise DegreeMismatch(f"{spec}: header degree {degree} != generator degree {g.degree}")
-    return g
+    return generate_group(gens, name=name, degree=degree, cap=cap)

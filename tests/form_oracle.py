@@ -6,7 +6,8 @@ coefficients; the form applied and paired entry by entry; the class form from
 the double loop over |Z(ab) ∩ C|; Roth's class-sum Gram from a located block
 of products; the paper's nondegeneracy witness m for the universal calculus;
 the central character of a class; all the class sums of a class form on its
-orbits; and the rank by Bareiss elimination alone.
+orbits; and the rank by Bareiss elimination alone and the inertia by LDL^T
+over Fraction, the oracles for `exactlinalg._exact_inertia`.
 """
 import weakref
 from fractions import Fraction
@@ -16,7 +17,7 @@ import numpy as np
 from group_oracle import product_indices
 from killform.characters import CharTable
 from killform.errors import CapExceeded, KillformError
-from killform.exactlinalg import EXACT_CAP, IntSymMatrix, _rank_bareiss, exact_rank
+from killform.exactlinalg import EXACT_CAP, IntSymMatrix, exact_rank
 from killform.groups import ConjClass, Group
 from killform.killing import KillingForm
 from killform.perms import Perm
@@ -170,6 +171,93 @@ def class_sums(orbital) -> np.ndarray:
     """The (k, r, r) class sums A_j of a class form's orbital data
     (`killing._OrbitalData`), one `class_sum` per class of G."""
     return np.array([orbital.class_sum(u) for u in np.eye(orbital.tau.shape[1], dtype=np.int64)])
+
+
+def _rank_bareiss(M: IntSymMatrix) -> int:
+    """Fraction-free Bareiss elimination (exact, arbitrary-precision integers)."""
+    a = [[int(x) for x in row] for row in M.data]
+    n = M.dim
+    prev = 1
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, n) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+        pivot_val = a[r][col]
+        for i in range(r + 1, n):
+            row_i, row_r = a[i], a[r]
+            f = row_i[col]
+            for j in range(col, n):
+                row_i[j] = (row_i[j] * pivot_val - f * row_r[j]) // prev
+        prev = pivot_val
+        r += 1
+        if r == n:
+            break
+    return r
+
+
+def _exact_inertia_ldlt(M: IntSymMatrix) -> tuple[int, int, int]:
+    """Inertia by exact LDL^T with full symmetric pivoting (1x1 and 2x2 blocks)."""
+    n = M.dim
+    a = {}
+    for i in range(n):
+        for j in range(i, n):
+            a[(i, j)] = Fraction(int(M.data[i, j]))
+
+    def get(i, j):
+        return a[(i, j)] if i <= j else a[(j, i)]
+
+    def put(i, j, v):
+        a[(i, j) if i <= j else (j, i)] = v
+
+    active = list(range(n))
+    pos = neg = zero = 0
+    while active:
+        k = max(active, key=lambda i: abs(get(i, i)))
+        if get(k, k) != 0:
+            d = get(k, k)
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            rest = [i for i in active if i != k]
+            col = {i: get(i, k) for i in rest}
+            for x, i in enumerate(rest):
+                if col[i] == 0:
+                    continue
+                for j in rest[x:]:
+                    if col[j] != 0:
+                        put(i, j, get(i, j) - col[i] * col[j] / d)
+            active = rest
+            continue
+        # every active diagonal is zero: use a hyperbolic 2x2 pivot
+        pair = None
+        for ii, i in enumerate(active):
+            for j in active[ii + 1 :]:
+                if get(i, j) != 0:
+                    pair = (i, j)
+                    break
+            if pair:
+                break
+        if pair is None:
+            zero += len(active)
+            break
+        k, l = pair
+        b = get(k, l)  # block [[0, b], [b, 0]]: inertia (1, 1)
+        pos += 1
+        neg += 1
+        rest = [i for i in active if i not in (k, l)]
+        colk = {i: get(i, k) for i in rest}
+        coll = {i: get(i, l) for i in rest}
+        for x, i in enumerate(rest):
+            for j in rest[x:]:
+                delta = (colk[i] * coll[j] + coll[i] * colk[j]) / b
+                if delta:
+                    put(i, j, get(i, j) - delta)
+        active = rest
+    return pos, neg, zero
 
 
 def exact_rank_bareiss(M: IntSymMatrix, cap: int = EXACT_CAP) -> int:

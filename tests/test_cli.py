@@ -346,10 +346,14 @@ def test_main_jobs_beyond_class_count(capsys):
     ("degree 4\n(1,1)\n", "point 1 appears twice"),
     ("degree 4\n(1,2)(3,3)\n", "point 3 appears twice"),
     ("degree 4\n(1,2)(2,3)\n", "point 2 appears twice"),
+    (b"\xff\xfe", "bad.grp: 'utf-8' codec can't decode byte 0xff in position 0"),
 ])
 def test_main_rejects_malformed_group_file(tmp_path, body, message, capsys):
     path = tmp_path / "bad.grp"
-    path.write_text("name bad\n" + body, encoding="utf-8")
+    if isinstance(body, bytes):  # the file as raw bytes, not UTF-8 text
+        path.write_bytes(body)
+    else:
+        path.write_text("name bad\n" + body, encoding="utf-8")
     assert main(["survey", f"file:{path}"]) == 2
     err = capsys.readouterr().err
     assert message in err

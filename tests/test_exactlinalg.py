@@ -7,17 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casimir_oracle import exact_inverse
-from form_oracle import exact_rank_bareiss, integer_eigen_multiplicity
+from form_oracle import (
+    _exact_inertia_ldlt,
+    _rank_bareiss,
+    exact_rank_bareiss,
+    integer_eigen_multiplicity,
+)
 from golden_survey import GROUP_SPECS
 from killform import characters, cli, exactlinalg, killing
 from killform.cli import cmd_decompose
-from killform.errors import CapExceeded, SingularMatrix
+from killform.errors import CapExceeded, SeparationFailure, SingularMatrix
 from killform.groups import build_named_group
 from killform.exactlinalg import (
     IntSymMatrix,
     Signature,
     _eliminate,
-    _exact_inertia_ldlt,
+    _exact_inertia,
     _gf_block_width,
     _is_prime,
     _lift_nullspace,
@@ -422,6 +427,53 @@ def test_exact_inertia_ldlt_matches_float():
                 int((np.abs(evals) <= 1e-9).sum()),
             )
             assert _exact_inertia_ldlt(M) == expect
+
+
+def random_zero_diagonal(rng, n):
+    M = random_symmetric(rng, n, lo=-3, hi=3).data
+    np.fill_diagonal(M, 0)
+    return IntSymMatrix(M)
+
+
+def test_exact_inertia_matches_ldlt_and_bareiss_oracles():
+    # full, low-rank and zero-diagonal inputs; the zero diagonals and the
+    # zero Schur diagonals of the low-rank ones take the congruence step
+    rng = np.random.default_rng(29)
+    for n in range(12):
+        for make in (lambda: random_symmetric(rng, n, lo=-4, hi=4),
+                     lambda: random_low_rank(rng, n, rng.integers(0, n + 1)),
+                     lambda: random_zero_diagonal(rng, n)):
+            for _ in range(5):
+                M = make()
+                pos, neg, zero = _exact_inertia(M)
+                assert (pos, neg, zero) == _exact_inertia_ldlt(M)
+                assert pos + neg == _rank_bareiss(M)
+
+
+def test_signature_falls_back_to_exact_inertia(monkeypatch):
+    # det = -1 beside an eigenvalue near 2N: the float margin, about 5e-8,
+    # is below the noise allowance, so the exact elimination decides
+    N = 10**7
+    calls, inertia = [], exactlinalg._exact_inertia
+    monkeypatch.setattr(exactlinalg, "_exact_inertia", lambda M: calls.append(M.dim) or inertia(M))
+    assert signature(IntSymMatrix([[N, N + 1], [N + 1, N + 2]])).astuple() == (1, 1, 0)
+    assert calls == [2]
+
+
+def test_signature_refuses_an_unseparated_form_past_the_fallback_cap():
+    N = 10**7
+    M = np.eye(602, dtype=np.int64)
+    M[:2, :2] = [[N, N + 1], [N + 1, N + 2]]
+    with pytest.raises(SeparationFailure, match="dim 602 exceeds the exact-inertia fallback cap"):
+        signature(IntSymMatrix(M))
+
+
+def test_exact_rank_falls_back_to_exact_inertia_when_the_lift_stalls(monkeypatch):
+    monkeypatch.setattr(exactlinalg, "_lift_nullspace", lambda A, rng: None)
+    rng = np.random.default_rng(31)
+    for M in (random_symmetric(rng, 9), random_low_rank(rng, 12, 5),
+              random_zero_diagonal(rng, 10), IntSymMatrix(np.zeros((3, 3), dtype=np.int64))):
+        assert exact_rank(M) == rank_fraction_oracle(M)
 
 
 def test_signature_paper_inverse_blocks():

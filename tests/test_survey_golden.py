@@ -55,8 +55,8 @@ def test_survey_fills_no_dense_form(name, dense_fills):
 def test_survey_signatures_take_no_exact_inertia(name, monkeypatch):
     # the float separation in `signature` decides every block: the columns
     # that _image_basis picks keep P^T S P well conditioned
-    calls, ldlt = [], exactlinalg._exact_inertia_ldlt
-    monkeypatch.setattr(exactlinalg, "_exact_inertia_ldlt",
-                        lambda M: calls.append(M.dim) or ldlt(M))
+    calls, inertia = [], exactlinalg._exact_inertia
+    monkeypatch.setattr(exactlinalg, "_exact_inertia",
+                        lambda M: calls.append(M.dim) or inertia(M))
     assert cmd_survey(GROUP_SPECS[name]).exit_code == 0
     assert calls == []
