@@ -9,6 +9,9 @@ casimir      the Casimir of a nondegenerate class form, as an exact rational
              combination of e and class sums
 spectrogram  (class, eigenvalue, multiplicity) rows for every class
 
+survey and spectrogram analyze one class of each inverse pair {C, C^-1}; the
+other takes the same row under its own label.
+
 Reports are byte-stable: equal inputs and flags produce equal output bytes
 (class order is the deterministic group order; no timestamps).  Conjecture
 warnings are findings, not failures: they never change the exit code.
@@ -22,7 +25,7 @@ import json
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .characters import CharTable, character_table, eigenspace_decomposition, integrality_audit
 from .errors import ElementNotInGroup, KillformError, SingularMatrix
@@ -218,19 +221,40 @@ def _conjecture_warnings(G: Group, classes: list, rows: list) -> list:
     return out
 
 
-def _per_class(fn, classes: list, jobs: int) -> list:
-    """[fn(C) for C in classes], on `jobs` threads when jobs > 1."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, classes))
-    return [fn(C) for C in classes]
+def _per_class(fn, relabel, G: Group, classes: list, jobs: int) -> list:
+    """[fn(C) for C in classes], on `jobs` threads when jobs > 1, calling fn
+    once per inverse pair.  Inversion maps C onto C^-1 and carries one form
+    onto the other, K_{C^-1}(a^-1, b^-1) = |Z(ba) ∩ C| = K_C(a, b), so the
+    later class C of a pair takes relabel(r, C) of its partner's result r.
+    relabel returns None when r is an error, and C then runs on its own."""
+    def run(todo: list) -> dict:
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                return dict(zip(todo, pool.map(fn, todo)))
+        return {C: fn(C) for C in todo}
+
+    partner, seen, all_classes = {}, set(), G.classes()
+    for C in classes:
+        inverse = all_classes[G.class_index_of(C.representative.inverse())]
+        if inverse in seen:
+            partner[C] = inverse
+        seen.add(C)
+    results = run([C for C in classes if C not in partner])
+    for C, inverse in partner.items():
+        row = relabel(results[inverse], C)
+        if row is not None:
+            results[C] = row
+    results.update(run([C for C in classes if C not in results]))
+    return [results[C] for C in classes]
 
 
 def cmd_survey(group_spec: str, cap: int = DEFAULT_ELEMENT_CAP,
                matrix_cap: int = MATRIX_CAP, jobs: int = 1, seed: int = 0) -> Report:
     G = build_named_group(group_spec, cap=cap)
     classes = nontrivial_classes(G)
-    rows = _per_class(lambda C: _survey_one(G, C, matrix_cap, seed), classes, jobs)
+    rows = _per_class(lambda C: _survey_one(G, C, matrix_cap, seed),
+                      lambda row, C: None if row.error else replace(row, class_label=C.label),
+                      G, classes, jobs)
     report = Report(command="survey", group_name=G.name, group_order=G.order, seed=seed,
                     columns=SURVEY_COLUMNS, rows=[r.cells() for r in rows],
                     warnings=_conjecture_warnings(G, classes, rows))
@@ -310,7 +334,10 @@ def cmd_spectrogram(group_spec: str, cap: int = DEFAULT_ELEMENT_CAP,
         except KillformError as exc:
             return [[C.label, f"ERROR({type(exc).__name__})", ""]]
 
-    rows = [row for chunk in _per_class(one, classes, jobs) for row in chunk]
+    def relabel(chunk: list, C: ConjClass) -> list | None:
+        return None if chunk[0][1].startswith("ERROR(") else [[C.label] + r[1:] for r in chunk]
+
+    rows = [row for chunk in _per_class(one, relabel, G, classes, jobs) for row in chunk]
     report = Report(command="spectrogram", group_name=G.name, group_order=G.order,
                     seed=seed, columns=["class", "eigenvalue", "multiplicity"], rows=rows)
     if any(r[1].startswith("ERROR(") for r in rows):

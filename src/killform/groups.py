@@ -598,6 +598,8 @@ def parse_group_file(path) -> tuple[str, int, list[Perm]]:
         if line.startswith("name "):
             name = line[5:].strip()
         elif line.startswith("degree "):
+            if degree is not None:
+                raise UnknownSpec(f"{path}:{lineno}: a second degree line (degree is {degree})")
             text = line[7:].strip()
             degree = int(text) if text.isdecimal() else 0
             if degree < 1:

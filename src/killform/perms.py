@@ -64,11 +64,11 @@ class Perm:
                 seen.add(p)
             if len(pts) > 1:
                 cycles.append(tuple(pts))
+        # one-point cycles are dropped above, but their points count here too
         if degree is None:
-            degree = 1 + max(max(c) for c in cycles) if cycles else 1
-        for c in cycles:
-            if max(c) >= degree:
-                raise ValueError(f"point out of range in {text!r} for degree {degree}")
+            degree = 1 + max(seen)
+        if max(seen) >= degree:
+            raise ValueError(f"point {max(seen) + 1} out of range in {text!r} for degree {degree}")
         return Perm.from_cycles(cycles, degree)
 
     def __call__(self, i: int) -> int:

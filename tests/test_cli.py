@@ -3,6 +3,10 @@ import json
 
 import pytest
 
+from dataclasses import replace
+
+from golden_survey import GROUP_SPECS
+from killform import cli
 from killform.cli import (
     cmd_casimir,
     cmd_decompose,
@@ -10,9 +14,12 @@ from killform.cli import (
     cmd_survey,
     fmt_value,
     main,
+    nontrivial_classes,
     resolve_class,
 )
+from killform.errors import CapExceeded
 from killform.groups import alternating_group, build_named_group, symmetric_group
+from killform.killing import MATRIX_CAP, killing_matrix
 
 
 @pytest.fixture(scope="module")
@@ -347,6 +354,8 @@ def test_main_jobs_beyond_class_count(capsys):
     ("degree 4\n(1,2)(3,3)\n", "point 3 appears twice"),
     ("degree 4\n(1,2)(2,3)\n", "point 2 appears twice"),
     (b"\xff\xfe", "bad.grp: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ("degree 5\n(1,2,3,4,5)(9)\n", "bad.grp:3: point 9 out of range in '(1,2,3,4,5)(9)'"),
+    ("degree 5\n(1,2,3,4,5)\ndegree 6\n(1,2)\n", "bad.grp:4: a second degree line (degree is 5)"),
 ])
 def test_main_rejects_malformed_group_file(tmp_path, body, message, capsys):
     path = tmp_path / "bad.grp"
@@ -425,3 +434,76 @@ def test_main_rejects_a_matrix_cap_below_one_on_every_command(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main(command + ["--matrix-cap", "0"])
     assert exc.value.code == 2
+
+
+# -------------------------------------------------------------- inverse pairs
+
+PSU33 = GROUP_SPECS["PSU(3,3)"]
+
+
+def _spectrum_rows(G, C) -> list:
+    """The spectrogram rows of C, computed on their own."""
+    return [[C.label, fmt_value(e.value, e.integral), str(e.multiplicity)]
+            for e in killing_matrix(G, C).spectrum()]
+
+
+def test_survey_analyzes_one_class_of_each_inverse_pair(monkeypatch):
+    analyzed = []
+    survey_one = cli._survey_one
+    monkeypatch.setattr(cli, "_survey_one",
+                        lambda G, C, *args: analyzed.append(C.label) or survey_one(G, C, *args))
+    rows = cmd_survey(PSU33).rows
+    # 4B, 7B, 8B and 12B are the inverses of 4A, 7A, 8A and 12A
+    assert analyzed == ["2A", "3A", "3B", "4A", "4C", "6A", "7A", "8A", "12A"]
+    assert [r[0] for r in rows] == ["2A", "3A", "3B", "4A", "4B", "4C", "6A", "7A", "7B",
+                                    "8A", "8B", "12A", "12B"]
+    assert cmd_survey(PSU33, jobs=2).rows == rows
+
+
+def test_spectrogram_rows_of_an_inverse_class_are_its_own():
+    G = build_named_group(PSU33)
+    expected = [row for C in nontrivial_classes(G) for row in _spectrum_rows(G, C)]
+    assert cmd_spectrogram(PSU33).rows == expected
+    assert cmd_spectrogram(PSU33, jobs=2).rows == expected
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_SPECS))
+def test_inverse_class_rows_are_the_class_rows_relabelled(name):
+    # inversion carries K_C onto K_{C^-1}: K_{C^-1}(a^-1, b^-1) = K_C(a, b)
+    G = build_named_group(GROUP_SPECS[name])
+    for C in nontrivial_classes(G):
+        if C.is_real:
+            continue
+        D = G.classes()[G.class_index_of(C.representative.inverse())]
+        assert D is not C
+        row = cli._survey_one(G, C, MATRIX_CAP, 0)
+        assert row.error is None
+        assert cli._survey_one(G, D, MATRIX_CAP, 0) == replace(row, class_label=D.label)
+        assert _spectrum_rows(G, D) == [[D.label] + r[1:] for r in _spectrum_rows(G, C)]
+
+
+@pytest.mark.parametrize("cmd, cell", [(cmd_survey, 2), (cmd_spectrogram, 1)])
+def test_both_classes_of_a_pair_over_the_matrix_cap_read_an_error(cmd, cell):
+    # |7A| = |7B| = 864; every other class of PSU(3,3) has at most 756 members
+    report = cmd(PSU33, matrix_cap=800)
+    assert report.exit_code == 4
+    assert [[r[0], r[cell]] for r in report.rows if r[cell].startswith("ERROR(")] == [
+        ["7A", "ERROR(CapExceeded)"], ["7B", "ERROR(CapExceeded)"]]
+
+
+@pytest.mark.parametrize("cmd, cell", [(cmd_survey, 2), (cmd_spectrogram, 1)])
+def test_a_failed_class_leaves_its_inverse_to_be_analyzed(monkeypatch, cmd, cell):
+    today = [r for r in cmd(PSU33).rows if r[0] == "7B"]
+
+    def failing(G, C, **kw):
+        if C.label == "7A":
+            raise CapExceeded("7A")
+        return killing_matrix(G, C, **kw)
+
+    monkeypatch.setattr(cli, "killing_matrix", failing)
+    for jobs in (1, 2):
+        report = cmd(PSU33, jobs=jobs)
+        assert report.exit_code == 4
+        assert [[r[0], r[cell]] for r in report.rows if r[cell].startswith("ERROR(")] == [
+            ["7A", "ERROR(CapExceeded)"]]
+        assert [r for r in report.rows if r[0] == "7B"] == today

@@ -48,6 +48,7 @@ def test_parse_print_roundtrip():
         assert str(p) == text
     assert str(Perm.identity(5)) == "()"
     assert Perm.parse("()", 4).is_identity()
+    assert Perm.parse("(1,2)(5)").degree == 5  # the largest point mentioned
     assert Perm.parse("(1 2 3)", 3) == Perm.parse("(1,2,3)", 3)
 
 
@@ -56,6 +57,10 @@ def test_parse_rejects_garbage():
         Perm.parse("(1,2", 4)
     with pytest.raises(ValueError):
         Perm.parse("(1,9)", 4)
+    # a one-point cycle is checked against the degree too
+    for text in ("(9)", "(1,2,3,4,5)(9)"):
+        with pytest.raises(ValueError, match="point 9 out of range"):
+            Perm.parse(text, 5)
     for text in ("(1,2)(2,3)", "(1,1)", "(1,2)(3,3)", "(1)(1,2)"):
         with pytest.raises(ValueError, match="appears twice"):
             Perm.parse(text, 4)
