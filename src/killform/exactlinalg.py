@@ -391,39 +391,47 @@ def _lift_nullspace(A: np.ndarray,
 
 def _exact_inertia(M: IntSymMatrix) -> tuple[int, int, int]:
     """Inertia (positive, negative, zero) of M by fraction-free symmetric
-    elimination, in Python integers.
+    elimination, in Python integers, on the upper triangle alone.
 
     Each step pivots on the first active index k with a_kk != 0; the LDL^T
-    pivot a_kk / prev has the sign of a_kk * prev.  The active entries then
-    become (a_kk a_ij - a_ik a_kj) / prev, which by Sylvester's identity are
-    minors of the matrix eliminated, so every division is exact (Bareiss
-    1968).  If every active diagonal entry is 0 but some a_ij is not, row and
-    column j are added to row and column i, which makes a_ii = 2 a_ij: a
-    unimodular congruence on the active indices, so the matrix eliminated
-    stays congruent to M.  If every active entry is 0, the active indices are
-    the zeros of the inertia.
+    pivot a_kk / prev has the sign of a_kk * prev.  The active entries a_ij,
+    j >= i, then become (a_kk a_ij - a_ik a_kj) / prev, which by Sylvester's
+    identity are minors of the matrix eliminated, so every division is exact
+    (Bareiss 1968).  If every active diagonal entry is 0 but some a_kj is
+    not, row and column j are added to row and column k, which makes a_kk =
+    2 a_kj: a unimodular congruence on the active indices, so the matrix
+    eliminated stays congruent to M, and it changes only the pivot column k.
+    If every active entry is 0, the active indices are the zeros of the
+    inertia.
     """
-    a = [[int(x) for x in row] for row in M.data]
+    a = [[int(x) for x in row] for row in M.data]  # only a[i][j], j >= i, is read
+
+    def column(k: int) -> list[int]:
+        return [row[k] for row in a[:k]] + a[k][k:]
+
     prev, pos, neg = 1, 0, 0
     while a:
         k = next((i for i, row in enumerate(a) if row[i]), None)
         if k is None:
-            pair = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x), None)
+            pair = next(((i, j) for i, row in enumerate(a) for j in range(i + 1, len(row))
+                         if row[j]), None)
             if pair is None:
                 break
             k, j = pair
-            a[k] = [x + y for x, y in zip(a[k], a[j])]
-            for row in a:
-                row[k] += row[j]
-        row_k = a.pop(k)
-        d = row_k.pop(k)
+            col = [x + y for x, y in zip(column(k), column(j))]
+            col[k] = 2 * a[k][j]
+        else:
+            col = column(k)
+        del a[k]
+        d = col.pop(k)
         if d * prev > 0:
             pos += 1
         else:
             neg += 1
-        for row in a:
-            a_ik = row.pop(k)
-            row[:] = [(d * x - a_ik * y) // prev for x, y in zip(row, row_k)]
+        for i, row in enumerate(a):
+            del row[k]
+            a_ik = col[i]
+            row[i:] = [(d * x - a_ik * y) // prev for x, y in zip(row[i:], col[i:])]
         prev = d
     return pos, neg, len(a)
 

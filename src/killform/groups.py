@@ -596,6 +596,8 @@ def parse_group_file(path) -> tuple[str, int, list[Perm]]:
         if not line:
             continue
         if line.startswith("name "):
+            if name is not None:
+                raise UnknownSpec(f"{path}:{lineno}: a second name line (name is {name})")
             name = line[5:].strip()
         elif line.startswith("degree "):
             if degree is not None:

@@ -225,8 +225,15 @@ def _class_sum_gram(G: Group) -> IntSymMatrix:
     vectors: S[j][l] = |C_j| * sum over y in C_l of |Z(g_j y)|.  Counting the
     pairs by the class C_m of their product, |Z| = |G| / |C_m|, gives |G| times
     the count of x in C_j with x^-1 z_m in C_l, over every representative z_m:
-    the structure constants summed over m, in k x k memory, not their k^3."""
+    the structure constants summed over m.  Up to CLASS_CAP classes they are
+    the character table's cached constants, so the products are counted once
+    per group; above it they are counted a class at a time, in k x k memory,
+    not their k^3."""
+    from .characters import CLASS_CAP  # it imports this module
+
     k = len(G.classes())
+    if k <= CLASS_CAP:
+        return IntSymMatrix(G.order * G.structure_constants.sum(axis=2))
     S = np.empty((k, k), dtype=np.int64)
     for j, block in enumerate(G.class_products()):
         S[j] = G.order * np.bincount(block.ravel(), minlength=k)
@@ -259,7 +266,8 @@ def _universal_signature(K: KillingForm, seed: int = 0) -> Signature | None:
     """The signature of a universal form in closed form, or None when Roth's
     property fails.
 
-    Let f = |Z| - 1 and t = #{g : g^2 = e}, e counted.  Over all of G the form
+    Let f = |Z| - 1 and t = #{g : g^2 = e}, e counted: the summed sizes of
+    the classes of element order 1 or 2.  Over all of G the form
     is F[a][b] = f(ab) = (L_f J)[a][b]: L_f, the convolution by f, is
     symmetric and commutes with J, and acts on the i-th isotypic block as
     (|G| / d_i) * (m_i - [i trivial]) >= 0; on the trivial block that is
@@ -272,8 +280,7 @@ def _universal_signature(K: KillingForm, seed: int = 0) -> Signature | None:
     G = K.group
     if not _roth_holds(G, seed=seed):
         return None
-    squares = np.take_along_axis(G.arr, G.arr, axis=1)
-    t = int((squares == np.arange(G.degree)).all(axis=1).sum())
+    t = sum(c.size for c in G.classes() if c.element_order <= 2)
     return Signature((G.order + t) // 2 - (not K.includes_identity), (G.order - t) // 2, 0)
 
 

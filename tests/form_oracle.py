@@ -4,7 +4,7 @@ library's forms, spectra and certificates.
 A form's basis as Perms; sparse group-algebra vectors with exact
 coefficients; the form applied and paired entry by entry; the class form from
 the double loop over |Z(ab) ∩ C|; Roth's class-sum Gram from a located block
-of products; the paper's nondegeneracy witness m for the universal calculus;
+of products; the count t of g with g^2 = e from every square; the paper's nondegeneracy witness m for the universal calculus;
 the central character of a class; all the class sums of a class form on its
 orbits; and the rank by Bareiss elimination alone and the inertia by LDL^T
 over Fraction, the oracles for `exactlinalg._exact_inertia`.
@@ -136,6 +136,12 @@ def class_sum_gram_located(G: Group) -> IntSymMatrix:
     by_class = np.argsort(G.class_map, kind="stable")
     starts = np.searchsorted(G.class_map[by_class], np.arange(len(sizes)))
     return IntSymMatrix(sizes[:, None] * np.add.reduceat(values[:, by_class], starts, axis=1))
+
+
+def involution_count(G: Group) -> int:
+    """t = #{g : g^2 = e}, e counted, from the squares of all the elements."""
+    squares = np.take_along_axis(G.arr, G.arr, axis=1)
+    return int((squares == np.arange(G.degree)).all(axis=1).sum())
 
 
 def m_vector(G: Group, W_multiplicities, table: CharTable) -> dict:

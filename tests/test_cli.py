@@ -356,6 +356,8 @@ def test_main_jobs_beyond_class_count(capsys):
     (b"\xff\xfe", "bad.grp: 'utf-8' codec can't decode byte 0xff in position 0"),
     ("degree 5\n(1,2,3,4,5)(9)\n", "bad.grp:3: point 9 out of range in '(1,2,3,4,5)(9)'"),
     ("degree 5\n(1,2,3,4,5)\ndegree 6\n(1,2)\n", "bad.grp:4: a second degree line (degree is 5)"),
+    ("degree 5\n(1,2,3,4,5)\nname second\n(1,2,3)\n",
+     "bad.grp:4: a second name line (name is bad)"),
 ])
 def test_main_rejects_malformed_group_file(tmp_path, body, message, capsys):
     path = tmp_path / "bad.grp"

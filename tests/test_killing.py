@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from casimir_oracle import dense_casimir
 from form_oracle import (AlgebraVector, ZeroMultiplicity, apply_form, basis, basis_index,
-                         class_sum_gram_located, class_sums, killing_matrix_bruteforce, m_vector,
-                         pairing, theta_vector)
+                         class_sum_gram_located, class_sums, involution_count,
+                         killing_matrix_bruteforce, m_vector, pairing, theta_vector)
 from group_oracle import centralizer_count, conj_by
 from group_strategies import permutation_groups_up_to_degree_8
 from killform import characters, cli, exactlinalg, killing
@@ -231,8 +231,14 @@ def small_permutation_groups(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_permutation_groups())
 def test_class_sum_gram_matches_located_products_and_structure_constants(G):
+    # with the cap at 0 the Gram is walked a class at a time, as above
+    # CLASS_CAP, and reads no structure constants; then it is read off them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "CLASS_CAP", 0)
+        walked = killing._class_sum_gram(G)
+    assert "structure_constants" not in vars(G)
     S = killing._class_sum_gram(G)
-    assert S == class_sum_gram_located(G)
+    assert S == walked == class_sum_gram_located(G)
     assert S.data.tolist() == (G.order * G.structure_constants.sum(axis=2)).tolist()
 
 
@@ -240,6 +246,44 @@ def test_class_sum_gram_matches_located_products_and_structure_constants(G):
 def test_class_sum_gram_matches_located_products_on_shipped_groups(spec):
     G = build_named_group(spec)
     assert killing._class_sum_gram(G) == class_sum_gram_located(G)
+
+
+def test_class_sum_gram_above_the_class_cap_is_walked():
+    G = generate_group([Perm.parse(f"({2 * i + 1},{2 * i + 2})", degree=14) for i in range(7)])
+    assert len(G.classes()) == G.order == 128 > characters.CLASS_CAP
+    assert killing._class_sum_gram(G) == class_sum_gram_located(G)
+    assert "structure_constants" not in vars(G)
+
+
+def test_universal_analyze_then_roth_check_walk_each_class_once(monkeypatch):
+    G = psl2(17)  # a fresh group: the constants and Roth's verdict are kept per group
+    classes = G.classes()  # its classes are found first, from products of their own
+    calls = []
+    products = BaseLocator.products
+
+    def counting(self, A, B):
+        calls.append(len(A))
+        return products(self, A, B)
+
+    monkeypatch.setattr(BaseLocator, "products", counting)
+    assert analyze(universal_killing(G)).analysis.nondegenerate
+    assert roth_check(G)[0]
+    assert calls == [c.size for c in classes]
+
+
+def closed_form_involutions(G) -> int:
+    """t as the closed form reads it: with Roth's verdict forced, the full
+    universal form has signature ((|G| + t)/2, (|G| - t)/2, 0)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(killing, "_roth_holds", lambda G, seed=0: True)
+        sig = killing._universal_signature(universal_killing(G, cap=G.order, include_identity=True))
+    return sig.positive - sig.negative
+
+
+@pytest.mark.parametrize("spec", [f"file:{PSU33}", f"file:{M11}"])
+def test_involutions_from_the_classes_match_the_squares_on_shipped_groups(spec):
+    G = build_named_group(spec)
+    assert closed_form_involutions(G) == involution_count(G)
 
 
 def test_universal_form_of_an_elementary_abelian_group_of_order_512():
@@ -273,6 +317,7 @@ def test_universal_closed_form_on_random_groups(G):
         assert roth_check(G, T)[0] == roth
     if G.order < 2:
         return
+    assert closed_form_involutions(G) == involution_count(G)
     for include_identity in (False, True):
         K = universal_killing(G, include_identity=include_identity)
         closed = killing._universal_signature(K)

@@ -23,6 +23,18 @@ def test_survey_matches_golden(survey, name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_survey_rows_carry_the_class_labels_in_order(survey, name):
+    # the multiset above drops the labels: here each row must sit under its
+    # own class, so a row copied to an inverse class keeps no stale label
+    G = build_named_group(GROUP_SPECS[name])
+    labels = [c.label for c in G.classes()[1:]]
+    assert len(set(labels)) == len(labels)
+    rows = survey(GROUP_SPECS[name]).rows
+    assert [row[0] for row in rows] == labels
+    assert [int(row[1]) for row in rows] == [c.size for c in G.classes()[1:]]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_no_conjecture_violations_on_simple_groups(survey, name):
     # nondegeneracy of real classes, positive definiteness for involutions,
     # zero signature otherwise: the warning scan must stay silent on every
