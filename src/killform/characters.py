@@ -11,10 +11,12 @@ non-negative integers, so the modular shadow determines them).  Everything
 that leaves the module is validated against both orthogonality relations.
 The rational central idempotents of QG, one per Galois orbit of irreducibles,
 are proposed by the table and then checked exactly in the class algebra
-(`rational_idempotents`); the class-form signature is decided with them.  The
-eigenspace decomposition runs on the Z(g)-orbits of the class, an r x r
-eigenproblem with r = sum of m_i^2, instead of on the |C|-dim module, and
-reads each eigenspace's irreducibles off g's row of its projector.
+(`rational_idempotents`); the class-form signature is decided with them.
+Roth's property is decided by the exact rank of the class-sum Gram.  The
+eigenspace decomposition runs on the Z(g)-orbits of the class (the form's
+orbital data), an r x r eigenproblem with r = sum of m_i^2, instead of on
+the |C|-dim module, and reads each eigenspace's irreducibles off g's row of
+its projector.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import random
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .exactlinalg import (
     _eliminate,
     _is_prime,
     _matmul_mod,
+    _pivot_columns,
     _verify_integer_nullspace,
     exact_rank,
     random_prime_22,
@@ -49,7 +53,9 @@ from .exactlinalg import (
 )
 from .gf import _least_primitive_root
 from .groups import ConjClass, Group
-from .killing import KillingForm, _orbital_data, _pivot_columns, _roth_holds
+
+if TYPE_CHECKING:
+    from .killing import KillingForm
 
 CLASS_CAP = 64
 ORTHOGONALITY_TOL = 1e-8
@@ -497,13 +503,53 @@ def multiplicities(f, T: CharTable) -> list[int]:
     return out
 
 
+def _class_sum_gram(G: Group) -> IntSymMatrix:
+    """S = Ind^T F Ind for F[a][b] = |Z(ab)| over G and Ind the class indicator
+    vectors: S[j][l] = |C_j| * sum over y in C_l of |Z(g_j y)|.  Counting the
+    pairs by the class C_m of their product, |Z| = |G| / |C_m|, gives |G| times
+    the count of x in C_j with x^-1 z_m in C_l, over every representative z_m:
+    the structure constants summed over m.  Up to CLASS_CAP classes they are
+    the character table's cached constants, so the products are counted once
+    per group; above it they are counted a class at a time, in k x k memory,
+    not their k^3."""
+    k = len(G.classes())
+    if k <= CLASS_CAP:
+        return IntSymMatrix(G.order * G.structure_constants.sum(axis=2))
+    S = np.empty((k, k), dtype=np.int64)
+    for j, block in enumerate(G.class_products()):
+        S[j] = G.order * np.bincount(block.ravel(), minlength=k)
+    return IntSymMatrix(S)
+
+
+# group -> Roth's property, decided with the first call's seed; dropped with the group
+_ROTH: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _roth_holds(G: Group, seed: int = 0) -> bool:
+    """Roth's property, decided exactly: every irrep of G occurs in the
+    conjugation representation on CG.
+
+    F = L J, with L the convolution by the conjugation character |Z| and J the
+    inversion permutation.  L acts on the isotypic block of the i-th irrep
+    (degree d_i) as the scalar (|G| / d_i) * m_i, where m_i >= 0 is that
+    irrep's multiplicity in the conjugation representation.  F maps the centre
+    of CG, spanned by the class indicators, to itself, and the central
+    idempotents are eigenvectors of L, so S = Ind^T F Ind is nonsingular
+    exactly when every m_i > 0.
+    """
+    if G not in _ROTH:
+        S = _class_sum_gram(G)
+        _ROTH[G] = exact_rank(S, seed=seed) == S.dim
+    return _ROTH[G]
+
+
 def roth_check(G: Group, table: CharTable | None = None) -> tuple[bool, list[int]]:
     """Does every irrep occur in the conjugation representation on CG?
 
     Only posed for trivial-centre groups; the character is g -> |Z(g)|.  The
     verdict is decided exactly by the rank of the class-sum Gram matrix
-    (killing._roth_holds); the multiplicities come from the table and must
-    agree with it.
+    (_roth_holds); the multiplicities come from the table and must agree
+    with it.
     """
     if len(G.centre()) != 1:
         raise NontrivialCentre(f"{G.name or 'G'} has nontrivial centre")
@@ -661,10 +707,10 @@ def eigenspace_decomposition(K: KillingForm, T: CharTable) -> Decomposition:
     if given != fits:
         raise ValueError(f"character table {T.name} does not fit {G.name}: its classes are "
                          f"{' '.join(given)}, those of {G.name} are {' '.join(fits)}")
-    orbital = _orbital_data(K)
+    orbital = K.orbital
     if orbital is None:
-        raise ProjectorMismatch(f"{K!r} has no orbital form: C is not a class of {G.name}, "
-                                f"K does not commute with conjugation, or S overflows int64")
+        raise ProjectorMismatch(f"{K!r} has no orbital form: it was not built by killing_matrix "
+                                f"on a class of {G.name}, or S overflows int64")
     S, w = orbital.S, orbital.w
     clusters, Pi, vectors = orbital.eigenspaces
     chars = np.array(T.chars, dtype=complex)

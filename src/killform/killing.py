@@ -8,27 +8,30 @@ brute-force double loop over |Z(ab) ∩ C| is a test oracle
 
 A form is formed lazily (_FormMatrix): its dimension is known at once, the
 rows a caller asks for are formed on request, and the dense matrix only on
-the first read of `.data`.  A class form with its group is read on the r
-rows at the first members x_s of the orbits of the centraliser Z(g) on C,
-r * |C| entries instead of |C|^2 (_orbital_data): lambda_max, the component
-count, the signature, the spectrum and decomposition (one eigensolve) and
-the Casimir all come from them.  The signature is decided one block per
+the first read of `.data`.  A class form built by killing_matrix with its
+group carries its orbital data (KillingForm.orbital): the r rows at the
+first members x_s of the orbits of the centraliser Z(g) on C, r * |C|
+entries instead of |C|^2 (_orbital_data).  lambda_max, the component count,
+the signature, the spectrum and decomposition (one eigensolve) and the
+Casimir all come from them.  The signature is decided one block per
 rational central idempotent of QG, on matrices of total size r = sum of
-m_i^2 (_orbital_signature).  A universal form is one component, and its
-signature comes in closed form from Roth's property (_universal_signature).
-The dense matrix, with `signature`, `spectrum` and `connected_components`,
-decides the rest and stays the test oracle.
+m_i^2 (_orbital_signature).  A universal form built by universal_killing is
+one component, and its signature comes in closed form from Roth's property
+(_universal_signature).  Every other form, a matrix handed in among them, is
+analysed as a matrix: `signature`, `spectrum` and `connected_components` of
+the dense matrix, which stay the test oracle.  The per-class values, Roth's
+property and the idempotents come from `characters`, imported one way.
 """
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
+from . import characters
 from .errors import CapExceeded, NotCentral, ProjectorMismatch, RowSumMismatch, SingularMatrix
 from .exactlinalg import (
     IntSymMatrix,
@@ -36,8 +39,8 @@ from .exactlinalg import (
     SpectrumEntry,
     _clustered_eigh,
     _lift_nullspace,
+    _pivot_columns,
     connected_components,
-    exact_rank,
     signature,
     spectrum,
 )
@@ -74,6 +77,14 @@ class KillingForm:
     def is_class_calculus(self) -> bool:
         return self.conj_class is not None
 
+    @cached_property
+    def orbital(self) -> _OrbitalData | None:
+        """The orbital data (_orbital_data) of a class form built by
+        killing_matrix with its group, formed on first read; None for every
+        other form, which is read as a matrix."""
+        built = isinstance(self.matrix, _FormMatrix) and self.conj_class is not None
+        return _orbital_data(self) if built and self.group is not None else None
+
     def spectrum(self) -> list[SpectrumEntry]:
         """The eigenvalue clusters of the form, as exactlinalg.spectrum gives them.
 
@@ -85,20 +96,16 @@ class KillingForm:
         integers within PROJECTOR_TOL, at least 1 and summing to |C|, or
         ProjectorMismatch.  Other forms take the dense `eigh`.
         """
-        from .characters import PROJECTOR_TOL  # it imports this module
-
-        C, orbital = self.conj_class, None
-        if C is not None and self.group is not None and isinstance(self.matrix, _FormMatrix):
-            orbital = _orbital_data(self)
+        C, orbital, tol = self.conj_class, self.orbital, characters.PROJECTOR_TOL
         if orbital is None:
             return spectrum(self.matrix)
         clusters, Pi, _ = orbital.eigenspaces
         raw = C.size * Pi[0]
         dims = np.rint(raw).astype(np.int64)
-        if (np.abs(raw - dims) > PROJECTOR_TOL).any() or dims.min() < 1 or dims.sum() != C.size:
+        if (np.abs(raw - dims) > tol).any() or dims.min() < 1 or dims.sum() != C.size:
             raise ProjectorMismatch(
                 f"eigenspace dimensions of {self!r} are {np.round(raw, 6).tolist()}, not "
-                f"positive integers within {PROJECTOR_TOL} summing to |C| = {C.size}")
+                f"positive integers within {tol} summing to |C| = {C.size}")
         return [SpectrumEntry(value=value, multiplicity=int(d), vectors=None, integral=integral)
                 for (_, _, value, integral), d in zip(clusters, dims)]
 
@@ -199,7 +206,7 @@ def killing_matrix(G: Group | None, C: ConjClass, cap: int = MATRIX_CAP) -> Kill
         in_class = G.class_map[G.locator.locate(C.arr)]
         if (in_class != in_class[0]).any() or C.size != G.classes()[in_class[0]].size:
             raise ValueError(f"{C!r} is not a conjugacy class of {G.name}")
-        phi = _class_function(G, C.commuting_count(G.class_reps), C.arr)
+        phi = _class_function(G, characters.conjugation_character(G, C).values, C.arr)
     return KillingForm(_FormMatrix(C.arr, phi), C.arr, group=G, conj_class=C)
 
 
@@ -215,51 +222,9 @@ def universal_killing(G: Group, cap: int = MATRIX_CAP, include_identity: bool = 
     m = len(basis_arr)
     if m > cap:
         raise CapExceeded(f"universal basis size {m} exceeds matrix cap {cap}")
-    phi = _class_function(G, [G.order // cl.size - 1 for cl in G.classes()], basis_arr)
+    phi = _class_function(G, characters.conjugation_character(G).values, basis_arr)
     return KillingForm(_FormMatrix(basis_arr, phi), basis_arr, group=G, universal=True,
                        includes_identity=include_identity)
-
-
-def _class_sum_gram(G: Group) -> IntSymMatrix:
-    """S = Ind^T F Ind for F[a][b] = |Z(ab)| over G and Ind the class indicator
-    vectors: S[j][l] = |C_j| * sum over y in C_l of |Z(g_j y)|.  Counting the
-    pairs by the class C_m of their product, |Z| = |G| / |C_m|, gives |G| times
-    the count of x in C_j with x^-1 z_m in C_l, over every representative z_m:
-    the structure constants summed over m.  Up to CLASS_CAP classes they are
-    the character table's cached constants, so the products are counted once
-    per group; above it they are counted a class at a time, in k x k memory,
-    not their k^3."""
-    from .characters import CLASS_CAP  # it imports this module
-
-    k = len(G.classes())
-    if k <= CLASS_CAP:
-        return IntSymMatrix(G.order * G.structure_constants.sum(axis=2))
-    S = np.empty((k, k), dtype=np.int64)
-    for j, block in enumerate(G.class_products()):
-        S[j] = G.order * np.bincount(block.ravel(), minlength=k)
-    return IntSymMatrix(S)
-
-
-# group -> Roth's property, decided with the first call's seed; dropped with the group
-_ROTH: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _roth_holds(G: Group, seed: int = 0) -> bool:
-    """Roth's property, decided exactly: every irrep of G occurs in the
-    conjugation representation on CG.
-
-    F = L J, with L the convolution by the conjugation character |Z| and J the
-    inversion permutation.  L acts on the isotypic block of the i-th irrep
-    (degree d_i) as the scalar (|G| / d_i) * m_i, where m_i >= 0 is that
-    irrep's multiplicity in the conjugation representation.  F maps the centre
-    of CG, spanned by the class indicators, to itself, and the central
-    idempotents are eigenvectors of L, so S = Ind^T F Ind is nonsingular
-    exactly when every m_i > 0.
-    """
-    if G not in _ROTH:
-        S = _class_sum_gram(G)
-        _ROTH[G] = exact_rank(S, seed=seed) == S.dim
-    return _ROTH[G]
 
 
 def _universal_signature(K: KillingForm, seed: int = 0) -> Signature | None:
@@ -278,7 +243,7 @@ def _universal_signature(K: KillingForm, seed: int = 0) -> Signature | None:
     rest, so by Haynsworth's inertia additivity the form loses (1, 0, 0).
     """
     G = K.group
-    if not _roth_holds(G, seed=seed):
+    if not characters._roth_holds(G, seed=seed):
         return None
     t = sum(c.size for c in G.classes() if c.element_order <= 2)
     return Signature((G.order + t) // 2 - (not K.includes_identity), (G.order - t) // 2, 0)
@@ -332,15 +297,15 @@ class _OrbitalData:
 
 
 def _orbital_data(K: KillingForm) -> _OrbitalData | None:
-    """The orbital form, tau and first rows of a class form with its group;
-    None where C is not a class of G, K does not commute with conjugation, or
-    S would not fit in int64.
+    """The orbital form, tau and first rows of a class form built by
+    killing_matrix with its group (read through KillingForm.orbital); None
+    where C's rows are not G's members of that class in G's order, or S would
+    not fit in int64.
 
-    Only the r rows of K at the x_s are read, r * |C| entries.  A form built
-    from phi (killing_matrix) commutes with conjugation by construction:
-    K[a][b] = phi(ab), and phi is read per class of G through class_map, so
-    K[hah^-1][hbh^-1] = phi(h ab h^-1) = K[a][b].  A matrix handed in is
-    compared with its conjugates under the generators of G first.
+    Only the r rows of K at the x_s are read, r * |C| entries.  K commutes
+    with conjugation by construction: K[a][b] = phi(ab), and phi is read per
+    class of G through class_map, so K[hah^-1][hbh^-1] = phi(h ab h^-1) =
+    K[a][b].
 
     One conjugation of g by all of G gives, for every a in C, the count
     tau[a, j] = #{h in C_j : h g h^-1 = a}, the centraliser Z(g) (the h with
@@ -358,17 +323,6 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
         return None
     in_C = np.full(G.order, -1, dtype=np.intp)
     in_C[members] = np.arange(C.size)
-    if not isinstance(K.matrix, _FormMatrix):
-        # everything below rests on K commuting with conjugation, compared a
-        # block of rows at a time
-        M = K.matrix.data
-        gens = np.array([h.images for h in G.generators], dtype=C.arr.dtype).reshape(-1, G.degree)
-        step = max(1, _BLOCK_ENTRIES // C.size)
-        for perm in in_C[G.locator.conjugates(C.arr, G.locator.locate(gens))].T:
-            for i in range(0, C.size, step):
-                if not np.array_equal(M[perm[i:i + step]].take(perm, axis=1), M[i:i + step]):
-                    return None
-
     # the Z(g)-orbits, each labelled by its first member, and S on them
     image = in_C[G.locator.conjugates(C.arr[:1])[0]]  # h -> h g h^-1, in C
     t = G.arr[np.unique(image, return_index=True)[1]]  # t[a], the first h with h g h^-1 = a
@@ -404,11 +358,11 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
                         starts, conjugated)
 
 
-def _orbital_signature(K: KillingForm, seed: int = 0,
-                       orbital: _OrbitalData | None = None) -> Signature | None:
+def _orbital_signature(K: KillingForm, seed: int = 0) -> Signature | None:
     """The signature of a class form, decided on the Z(g)-orbits of C, g the
-    representative, from its orbital data (formed here when not given); None
-    where the group has no certified idempotents or an exact check fails.
+    representative, from its orbital data (KillingForm.orbital); None where
+    the form has none, the group has no certified idempotents or an exact
+    check fails.
 
     K commutes with conjugation, so on the isotypic part of the i-th irrep
     (degree d_i, multiplicity m_i in CC) it acts as B_i (x) I_{d_i} for an
@@ -435,15 +389,11 @@ def _orbital_signature(K: KillingForm, seed: int = 0,
     (an idempotent, whose rank is its trace).  Only where P^T S P is singular
     is the rank of P certified apart (`_lift_nullspace`).
     """
-    from . import characters  # it imports this module
-
-    G, C = K.group, K.conj_class
+    G, C, orbital = K.group, K.conj_class, K.orbital
+    if orbital is None:
+        return None
     idempotents = characters.rational_idempotents(G)
     if idempotents is None:
-        return None
-    if orbital is None:
-        orbital = _orbital_data(K)
-    if orbital is None:
         return None
     S, r = orbital.S, len(orbital.w)
     degrees = [d for d, _ in idempotents]
@@ -487,32 +437,6 @@ def _orbital_signature(K: KillingForm, seed: int = 0,
     return Signature(*total) if sum(total) == C.size else None
 
 
-def _pivot_columns(X: np.ndarray, rank: int) -> list[int] | None:
-    """rank columns of the float X, picked as QR with column pivoting picks
-    them (Businger and Golub 1965), the one with the largest residual each
-    time; None when a pick has no residual left.  The squared residuals are
-    read off the Gram matrix X^T X by pivoted Cholesky (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10): one BLAS product, then
-    O(n * rank) work per pick for n columns.  Where X is wider than tall,
-    only the Gram columns at the picks are formed, one product each, so no
-    n x n matrix is held."""
-    wide = X.shape[0] < X.shape[1]
-    gram = None if wide else X.T @ X
-    residual = np.einsum("ij,ij->j", X, X) if wide else gram.diagonal().copy()
-    L = np.zeros((X.shape[1], rank))
-    picked = []
-    for i in range(rank):
-        c = int(np.argmax(residual))
-        if residual[c] <= 0:
-            return None
-        picked.append(c)
-        column = X.T @ X[:, c] if wide else gram[:, c]
-        L[:, i] = (column - L[:, :i] @ L[c, :i]) / np.sqrt(residual[c])
-        residual -= L[:, i] ** 2
-        residual[c] = 0  # not left above the others by rounding, to be picked again
-    return picked
-
-
 def _image_basis(N: np.ndarray, rank: int) -> np.ndarray | None:
     """rank columns of N that should span its image, each divided by its
     content; None when a pick has no residual left.  The caller certifies
@@ -533,36 +457,35 @@ def analyze(K: KillingForm, seed: int = 0) -> KillingForm:
     """Fill the analysis bundle: lambda_max, components, signature, chi.
 
     A class form built by killing_matrix with its group is read only on the
-    r rows of its orbital data (_orbital_data): lambda_max is the row sum
-    sum_t L[0, t] at g, and since K >= 0 commutes with conjugation, the
+    r rows of its orbital data (KillingForm.orbital): lambda_max is the row
+    sum sum_t L[0, t] at g, and since K >= 0 commutes with conjugation, the
     component of g is the union of the orbits that a search on the orbit
     graph (O_s ~ O_t iff L[s, t] != 0) reaches from O_1 = {g}, and G permutes
     the components transitively, so there are |C| / (sum of the reached w_t)
-    of them.  A universal form has K[a][b] = |Z(ab)| - 1 >= 1 for |G| >= 2,
-    so it is one component.  Every other form is read whole: its row sums
+    of them.  A universal form built by universal_killing has K[a][b] =
+    |Z(ab)| - 1 >= 1 for |G| >= 2, so it is one component.  Every other form,
+    a matrix handed in among them, is read whole: its row sums
     (RowSumMismatch unless constant) and `connected_components`.
 
     The signature is decided by the first route that applies:
-    - a universal form, when Roth's property holds: in closed form
-      (_universal_signature);
-    - a class form with its group, when the group's rational central
+    - a universal form built by universal_killing, when Roth's property
+      holds: in closed form (_universal_signature);
+    - a class form with orbital data, when the group's rational central
       idempotents are certified (at most characters.CLASS_CAP classes) and
       every exact check passes: block by block on the Z(g)-orbits of C
       (_orbital_signature), each block weighted by d/m;
-    - anything else (G None, the checks or the table fail): `signature` of
-      the whole matrix.
+    - anything else (a matrix handed in, G None, the checks or the table
+      fail): `signature` of the whole matrix.
     """
-    M = K.matrix
-    formed = isinstance(M, _FormMatrix)
-    lam = chi = real = orbital = comps = None
+    M, orbital = K.matrix, K.orbital
+    lam = chi = real = comps = sig = None
     if K.is_class_calculus:
         C = K.conj_class
-        if K.group is not None:
-            orbital = _orbital_data(K)
-        if formed and orbital is not None:
+        if orbital is not None:
             lam = int(orbital.S[0].sum())  # w_1 = 1
             reached = connected_components(IntSymMatrix(orbital.S))[0]
             comps = C.size // int(orbital.w[reached].sum())
+            sig = _orbital_signature(K, seed=seed)
         else:
             sums = M.data.sum(axis=1)
             if not np.all(sums == sums[0]):
@@ -572,15 +495,11 @@ def analyze(K: KillingForm, seed: int = 0) -> KillingForm:
             lam = int(sums[0])
         chi = int(C.commuting_count(C.arr[:1])[0])
         real = C.is_real
-    elif K.universal and formed:
+    elif K.universal and isinstance(M, _FormMatrix):
         comps = 1
+        sig = _universal_signature(K, seed=seed)
     if comps is None:
         comps = len(connected_components(M))
-    sig = None
-    if K.universal:
-        sig = _universal_signature(K, seed=seed)
-    elif orbital is not None:
-        sig = _orbital_signature(K, seed=seed, orbital=orbital)
     if sig is None:
         sig = signature(M, seed=seed)
     K.analysis = KillingAnalysis(
@@ -614,7 +533,8 @@ class CasimirExpansion:
 
 def casimir(K: KillingForm) -> CasimirExpansion:
     """Quadratic Casimir sum_{a,b} K^{ab} * (a*b) of a nondegenerate class
-    calculus, in the theta basis, solved on the Z(g)-orbits of C (_orbital_data).
+    calculus built by killing_matrix, in the theta basis, solved on the
+    Z(g)-orbits of C (KillingForm.orbital); NotCentral for any other form.
 
     K^-1 commutes with conjugation, so K^-1 e_g = sum_t y_t 1_{O_t} with
     L y = e_1 (O_1 = {g}).  CC = Ind_{Z(g)}^G 1, so by Frobenius reciprocity
@@ -633,9 +553,10 @@ def casimir(K: KillingForm) -> CasimirExpansion:
     if K.group is None:
         raise ValueError("Casimir expansion needs the ambient group")
     G, C = K.group, K.conj_class
-    orbital = _orbital_data(K)
+    orbital = K.orbital
     if orbital is None:
-        raise NotCentral(f"{K!r} is not a conjugation-invariant form on a class of {G.name}")
+        raise NotCentral(f"{K!r} has no orbital form: it was not built by killing_matrix "
+                         f"on a class of {G.name}, or S overflows int64")
     r = len(orbital.w)
     L = orbital.S // orbital.w[:, None]
     e_1 = np.eye(r, 1, dtype=np.int64)

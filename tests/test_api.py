@@ -93,9 +93,48 @@ def test_every_library_method_has_a_caller():
     assert not unused, f"library methods with no caller: {unused}"
 
 
+
+
+def _sibling_imports(node) -> list:
+    """The killform modules each import statement under node names, as
+    (statement, module) pairs; the `from . import x` form names x."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom) and (sub.level or
+                                                (sub.module or "").startswith("killform")):
+            modules = [sub.module] if sub.module else [alias.name for alias in sub.names]
+            out += [(sub, m.split(".")[-1]) for m in modules]
+        elif isinstance(sub, ast.Import):
+            out += [(sub, alias.name.split(".")[-1]) for alias in sub.names
+                    if alias.name.startswith("killform")]
+    return out
+
+
+def _is_type_checking(stmt) -> bool:
+    return isinstance(stmt, ast.If) and getattr(stmt.test, "id", None) == "TYPE_CHECKING"
+
+
 def test_specht_does_not_import_killing():
     tree = ast.parse((PACKAGE / "specht.py").read_text(encoding="utf-8"))
-    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                 for alias in node.names]
-    assert not [m for m in imported if m and m.split(".")[-1] == "killing"], imported
+    imported = [m for _, m in _sibling_imports(tree)]
+    assert "killing" not in imported, imported
+
+
+def test_characters_does_not_import_killing():
+    # killing reads characters, one way; characters names KillingForm only
+    # for the type checker
+    tree = ast.parse((PACKAGE / "characters.py").read_text(encoding="utf-8"))
+    runtime = [stmt for stmt in tree.body if not _is_type_checking(stmt)]
+    imported = [m for stmt in runtime for _, m in _sibling_imports(stmt)]
+    assert "killing" not in imported, imported
+
+
+def test_no_module_imports_a_sibling_inside_a_function():
+    inside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = {id(stmt) for stmt in tree.body}
+        top |= {id(sub) for stmt in tree.body if _is_type_checking(stmt) for sub in stmt.body}
+        inside += [f"{path.name}:{node.lineno} imports {m}" for node, m in _sibling_imports(tree)
+                   if id(node) not in top]
+    assert not inside, inside

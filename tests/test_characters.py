@@ -296,8 +296,8 @@ def test_roth_raises_when_the_table_disagrees_with_the_exact_verdict(name, monke
 def test_roth_is_decided_once_per_group(monkeypatch):
     G = build_named_group("PSL(2,17)")
     ranks = []
-    exact_rank = killing.exact_rank
-    monkeypatch.setattr(killing, "exact_rank",
+    exact_rank = characters.exact_rank
+    monkeypatch.setattr(characters, "exact_rank",
                         lambda M, seed=0: ranks.append(M.dim) or exact_rank(M, seed=seed))
     analyze(universal_killing(G), seed=7)
     assert roth_check(G)[0]

@@ -140,6 +140,62 @@ def test_survey_a5_rows():
     assert report.warnings == []
 
 
+def _s5_rows(error_in_2b: bool) -> dict:
+    """Survey rows of S5 (classes 2A, 2B, 3A, 4A, 5A, 6A of element orders
+    2, 2, 3, 4, 5, 6) that between them raise each of the four warnings."""
+    row = cli.SurveyRow
+    return {
+        # an involution class with a negative direction
+        "2A": row("2A", 10, 1, True, True, 1, 6, (9, 1, 0), True),
+        # skipped as an error; as a row it would not be positive definite
+        "2B": (row("2B", 15, error="CapExceeded") if error_in_2b
+               else row("2B", 15, 3, True, False, 5, 8, (14, 1, 0), True)),
+        # reducible and degenerate, with zero signature
+        "3A": row("3A", 20, 2, True, False, 2, 12, (8, 8, 4), False),
+        # irreducible and nondegenerate, with nonzero signature
+        "4A": row("4A", 30, 2, True, True, 1, 10, (20, 10, 0), True),
+        # not real: only its reducibility is checked
+        "5A": row("5A", 24, 4, False, False, 3, 6, (1, 0, 23), False),
+        # no violation
+        "6A": row("6A", 20, 2, True, True, 1, 4, (10, 10, 0), True),
+    }
+
+
+S5_WARNINGS = [
+    "conjecture violation: involution class 2A of S5 is not positive definite "
+    "(signature (9, 1, 0))",
+    "conjecture violation: non-involution class 3A of S5 has a reducible Killing form "
+    "(2 components)",
+    "conjecture violation: real class 3A of S5 has a degenerate Killing form",
+    "conjecture violation: real class 4A of S5 has nonzero signature (20, 10, 0)",
+    "conjecture violation: non-involution class 5A of S5 has a reducible Killing form "
+    "(3 components)",
+]
+
+
+def test_conjecture_warnings_text():
+    G = build_named_group("S5")
+    classes = nontrivial_classes(G)
+    assert [(C.label, C.element_order) for C in classes] == [
+        ("2A", 2), ("2B", 2), ("3A", 3), ("4A", 4), ("5A", 5), ("6A", 6)]
+    rows = _s5_rows(error_in_2b=True)
+    assert cli._conjecture_warnings(G, classes, [rows[C.label] for C in classes]) == S5_WARNINGS
+    rows = _s5_rows(error_in_2b=False)
+    assert cli._conjecture_warnings(G, classes, [rows[C.label] for C in classes]) == \
+        S5_WARNINGS[:1] + ["conjecture violation: involution class 2B of S5 is not positive "
+                           "definite (signature (14, 1, 0))"] + S5_WARNINGS[1:]
+
+
+@pytest.mark.parametrize("error_in_2b, exit_code", [(False, 0), (True, 4)])
+def test_conjecture_warnings_leave_the_exit_code(error_in_2b, exit_code, monkeypatch):
+    rows = _s5_rows(error_in_2b)
+    monkeypatch.setattr(cli, "_survey_one", lambda G, C, matrix_cap, seed: rows[C.label])
+    report = cmd_survey("S5")
+    assert len(report.warnings) == len(S5_WARNINGS) + (not error_in_2b)
+    assert report.exit_code == exit_code
+    assert main(["survey", "S5"]) == exit_code
+
+
 def test_survey_partial_report_on_capped_class():
     report = cmd_survey("A5", matrix_cap=16)  # 3A (size 20) is over the cap
     assert report.exit_code == 4

@@ -194,7 +194,7 @@ def test_universal_closed_form_matches_the_matrix_signature(spec, include_identi
 def test_universal_signature_falls_back_to_the_matrix_without_roth(name, include_identity,
                                                                    monkeypatch):
     G = non_roth_group(name)
-    S = killing._class_sum_gram(G)
+    S = characters._class_sum_gram(G)
     assert exact_rank(S) < S.dim == len(G.classes())
     K = universal_killing(G, include_identity=include_identity)
     assert killing._universal_signature(K) is None
@@ -217,7 +217,7 @@ def test_universal_analyze_runs_no_matrix_signature_under_roth(monkeypatch):
 
 def test_class_sum_gram_of_s3():
     # classes e, 2A, 3A of sizes 1, 3, 2; S[j][l] = |C_j| sum_{y in C_l} |Z(g_j y)|
-    assert killing._class_sum_gram(symmetric_group(3)).data.tolist() == [
+    assert characters._class_sum_gram(symmetric_group(3)).data.tolist() == [
         [6, 6, 6], [6, 36, 12], [6, 12, 18]]
 
 
@@ -235,9 +235,9 @@ def test_class_sum_gram_matches_located_products_and_structure_constants(G):
     # CLASS_CAP, and reads no structure constants; then it is read off them
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(characters, "CLASS_CAP", 0)
-        walked = killing._class_sum_gram(G)
+        walked = characters._class_sum_gram(G)
     assert "structure_constants" not in vars(G)
-    S = killing._class_sum_gram(G)
+    S = characters._class_sum_gram(G)
     assert S == walked == class_sum_gram_located(G)
     assert S.data.tolist() == (G.order * G.structure_constants.sum(axis=2)).tolist()
 
@@ -245,13 +245,13 @@ def test_class_sum_gram_matches_located_products_and_structure_constants(G):
 @pytest.mark.parametrize("spec", ["file:data/psu33.grp", "file:data/m11.grp"])
 def test_class_sum_gram_matches_located_products_on_shipped_groups(spec):
     G = build_named_group(spec)
-    assert killing._class_sum_gram(G) == class_sum_gram_located(G)
+    assert characters._class_sum_gram(G) == class_sum_gram_located(G)
 
 
 def test_class_sum_gram_above_the_class_cap_is_walked():
     G = generate_group([Perm.parse(f"({2 * i + 1},{2 * i + 2})", degree=14) for i in range(7)])
     assert len(G.classes()) == G.order == 128 > characters.CLASS_CAP
-    assert killing._class_sum_gram(G) == class_sum_gram_located(G)
+    assert characters._class_sum_gram(G) == class_sum_gram_located(G)
     assert "structure_constants" not in vars(G)
 
 
@@ -275,7 +275,7 @@ def closed_form_involutions(G) -> int:
     """t as the closed form reads it: with Roth's verdict forced, the full
     universal form has signature ((|G| + t)/2, (|G| - t)/2, 0)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(killing, "_roth_holds", lambda G, seed=0: True)
+        mp.setattr(characters, "_roth_holds", lambda G, seed=0: True)
         sig = killing._universal_signature(universal_killing(G, cap=G.order, include_identity=True))
     return sig.positive - sig.negative
 
@@ -295,7 +295,7 @@ def test_universal_form_of_an_elementary_abelian_group_of_order_512():
     assert k == G.order == 512
     tracemalloc.start()
     try:
-        S = killing._class_sum_gram(G)
+        S = characters._class_sum_gram(G)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -310,7 +310,7 @@ def test_universal_form_of_an_elementary_abelian_group_of_order_512():
 def test_universal_closed_form_on_random_groups(G):
     conj = ClassFunction(tuple(G.order // cl.size for cl in G.classes()))
     T = character_table(G)
-    S = killing._class_sum_gram(G)
+    S = characters._class_sum_gram(G)
     roth = exact_rank(S) == S.dim
     assert roth == all(m > 0 for m in multiplicities(conj, T))
     if len(G.centre()) == 1:
@@ -510,6 +510,94 @@ def test_orbital_route_needs_a_form_that_commutes_with_conjugation():
         characters.eigenspace_decomposition(tampered, character_table(G))
 
 
+def test_a_class_form_handed_in_as_a_matrix_is_analysed_as_a_matrix(monkeypatch):
+    G = alternating_group(5)
+    K = killing_matrix(G, class_by_label(G, "3A"))
+    copy = KillingForm(exactlinalg.IntSymMatrix(K.matrix.data), K.basis_arr, group=G,
+                       conj_class=K.conj_class)
+    built = analyze(K).analysis
+    seen = []
+    monkeypatch.setattr(killing, "signature", lambda M, seed=0: seen.append(M) or signature(M))
+    assert copy.orbital is None
+    assert analyze(copy).analysis == built
+    assert seen == [copy.matrix]
+    assert [(round(e.value, 6), e.multiplicity) for e in copy.spectrum()] == \
+        [(round(e.value, 6), e.multiplicity) for e in K.spectrum()]
+    with pytest.raises(NotCentral):
+        casimir(copy)
+    with pytest.raises(ProjectorMismatch):
+        characters.eigenspace_decomposition(copy, character_table(G))
+
+
+def test_a_universal_form_handed_in_as_a_matrix_gets_its_own_signature():
+    # the closed form reads only the group: on the negated form it gave (4, 1, 0)
+    G = symmetric_group(3)
+    K = universal_killing(G)
+    negated = KillingForm(exactlinalg.IntSymMatrix(-K.matrix.data), K.basis_arr, group=G,
+                          universal=True)
+    assert analyze(K).analysis.signature.astuple() == (4, 1, 0)
+    a = analyze(negated).analysis
+    assert a.signature.astuple() == signature(negated.matrix).astuple() == (1, 4, 0)
+    assert a.component_count == 1
+
+
+@pytest.mark.parametrize("spec", ["A5", "PSL(2,7)"])
+def test_orbital_signature_with_the_int64_block_product(spec, monkeypatch):
+    # every shipped block takes the float64 product; a basis scaled by 2^s is
+    # still a basis of the same image, and pushes the bound S_max * (largest
+    # column sum of |P|)^2 into [2^53, 2^62), where P^T S P is formed in int64
+    G = build_named_group(spec)
+    image_basis, bounds = killing._image_basis, []
+    for C in G.classes()[1:]:
+        K = killing_matrix(G, C)
+        S_max = int(np.abs(K.orbital.S).max())
+
+        def scaled(N, rank, S_max=S_max):
+            P = image_basis(N, rank)
+            bound = S_max * int(np.abs(P).sum(axis=0).max()) ** 2
+            s = 0
+            while bound << 2 * s < 1 << 53:
+                s += 1
+            bounds.append(bound << 2 * s)
+            return P * (1 << s)
+
+        monkeypatch.setattr(killing, "_image_basis", scaled)
+        assert killing._orbital_signature(K) == signature(K.matrix), C.label
+    assert bounds and all(1 << 53 <= b < 1 << 62 for b in bounds)
+
+
+def _drop_one(idempotents):
+    return idempotents[:-1]
+
+
+def _off_by_one_at_e(idempotents):
+    (d, u), *rest = idempotents[1:]
+    bumped = u.copy()
+    bumped[0] += 1
+    return [idempotents[0], (d, bumped), *rest]
+
+
+def _doubled(idempotents):
+    (d, u), *rest = idempotents[1:]
+    return [idempotents[0], (d, 2 * u), *rest]
+
+
+@pytest.mark.parametrize("doctor", [_drop_one, _off_by_one_at_e, _doubled])
+def test_doctored_idempotents_fail_the_exact_checks_and_fall_back(doctor, monkeypatch):
+    # dropping one fails the unit sum; 1 more at e fails the trace and weight
+    # check; a doubled u passes that check, and its doubled rank has no pick
+    G = alternating_group(5)
+    K = killing_matrix(G, G.classes()[2])
+    idempotents = characters.rational_idempotents(G)
+    monkeypatch.setattr(characters, "rational_idempotents", lambda G: doctor(idempotents))
+    seen = []
+    monkeypatch.setattr(killing, "signature", lambda M, seed=0: seen.append(M) or signature(M))
+    assert killing._orbital_signature(K) is None
+    seen.clear()
+    assert analyze(K).analysis.signature == signature(K.matrix)
+    assert seen[-1] is K.matrix
+
+
 # ------------------------------------------ lazy forms, read on the orbit rows
 
 @pytest.mark.parametrize("spec", ORBITAL_SPECS)
@@ -550,7 +638,6 @@ def test_rows_of_a_lazy_form_equal_the_dense_rows(spec, monkeypatch):
         assert "data" not in vars(K.matrix)
         assert np.array_equal(rows, K.matrix.data[idx]), K
         assert np.array_equal(every, K.matrix.data), K
-        assert np.array_equal(exactlinalg.IntSymMatrix(every).rows(idx), rows)
 
 
 def test_dim_and_repr_fill_nothing(dense_fills):
