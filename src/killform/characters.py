@@ -780,10 +780,8 @@ def _integral_nullities(S: np.ndarray, w: np.ndarray, flagged) -> list[int]:
         proposed = _propose_integer_basis(V) if fits else None
         if proposed is not None:
             N, F = proposed
-            pencil = S.copy()
-            pencil[np.diag_indices(len(w))] -= lam * w  # S - lam W
             if (np.array_equal(N[F] != 0, np.eye(len(F), dtype=bool))
-                    and _verify_integer_nullspace(pencil, N.T.tolist())):
+                    and _verify_integer_nullspace(_pencil(S, w, lam), N.T.tolist())):
                 known[lam] = max(known[lam], len(F))
     bound = _nullity_mod_p(S, w, sorted(known))
     if bound != sum(known.values()):
@@ -831,13 +829,23 @@ def _propose_integer_basis(V: np.ndarray) -> tuple[np.ndarray, list[int]] | None
             return None
 
 
+def _pencil(S: np.ndarray, w: np.ndarray, lam: int) -> np.ndarray:
+    """S - lam W, with no r x r matrix formed for W."""
+    pencil = S.copy()
+    pencil[np.diag_indices(len(w))] -= lam * w
+    return pencil
+
+
 def _nullity_mod_p(S: np.ndarray, w: np.ndarray, lams: list[int]) -> int:
     """The nullity of W prod (W^-1 S - lam I) over the distinct lams, mod a
     seeded 22-bit prime p that divides no w, from one elimination.
 
-    The product is (S - lam_1 W) W^-1 (S - lam_2 W) ... W^-1 (S - lam_m W),
-    symmetric as its factors commute.  Entries stay in [0, p), each product
-    by `_matmul_mod`; no r x r matrix is formed for W or for I."""
+    The product is (S - lam_1 W) W^-1 (S - lam_2 W) ... W^-1 (S - lam_m W)
+    = W (A - lam_1 I) (A - lam_2 I) ... (A - lam_m I) with A = W^-1 S,
+    symmetric as its factors commute.  Entries stay in [0, p).  Only the
+    running product and the one factor A - lam I are held: the product is
+    formed in place by `_matmul_mod`, and the factor moves from one lam to
+    the next on its diagonal.  No r x r matrix is formed for W or for I."""
     rng = random.Random(0)
     p = random_prime_22(rng)
     while (w % p == 0).any():
@@ -845,14 +853,16 @@ def _nullity_mod_p(S: np.ndarray, w: np.ndarray, lams: list[int]) -> int:
     r, diagonal = len(w), np.diag_indices(len(w))
     sizes, at = np.unique(w, return_inverse=True)  # few distinct orbit sizes
     w_inv = np.array([pow(int(x), -1, p) for x in sizes], dtype=np.int64)[at]
-    A = S % p * w_inv[:, None] % p  # W^-1 S
-    P = S % p
-    P[diagonal] = (P[diagonal] - lams[0] % p * (w % p)) % p
-    for lam in lams[1:]:
-        # P (W^-1 S - lam I) = P A - lam P
-        PA = _matmul_mod(P, A, p)
-        PA -= lam % p * P
-        P = np.mod(PA, p, out=PA)
+    A = np.mod(S, p)
+    A *= w_inv[:, None]
+    A %= p
+    A[diagonal] = (A[diagonal] - lams[0] % p) % p  # W^-1 S - lam_1 I
+    P = A * (w % p)[:, None]
+    P %= p
+    for last, lam in zip(lams, lams[1:]):
+        A[diagonal] = (A[diagonal] - (lam - last) % p) % p
+        _matmul_mod(P, A, p, out=P)
+    del A  # the elimination holds P alone
     return r - rank_mod_p(IntSymMatrix(P), p)
 
 
@@ -864,7 +874,7 @@ def _integral_certified(S: np.ndarray, w: np.ndarray, lam: int, size: int) -> bo
     positive number, so the float cluster was wrong."""
     if int(np.abs(S).max()) + abs(lam) * int(w.max()) >= 1 << 62:
         return False
-    nullity = len(w) - exact_rank(IntSymMatrix(S - lam * np.diag(w)))
+    nullity = len(w) - exact_rank(IntSymMatrix(_pencil(S, w, lam)))
     if nullity not in (0, size):
         raise ProjectorMismatch(
             f"eigenvalue {lam} has nullity {nullity} on the fixed vectors, "

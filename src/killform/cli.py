@@ -26,6 +26,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 from .characters import CharTable, character_table, eigenspace_decomposition, integrality_audit
 from .errors import ElementNotInGroup, KillformError, SingularMatrix
@@ -358,7 +359,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not change it."""
     p = argparse.ArgumentParser(
         prog="killform",
         description="Killing forms of conjugacy-class calculi on finite groups.")

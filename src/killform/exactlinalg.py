@@ -130,31 +130,46 @@ def _gf_block_width(p: int, cap: int = 64) -> int:
     return min(cap, (1 << 53) // (p * p))
 
 
-def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p as int64 in [0, p), exact for p < 2**31.
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """A @ B mod p as int64 in [0, p), exact for p < 2**31, written to out
+    when given.  out may be A itself: A is taken 64 rows at a time, and each
+    block is read before its product is written.
 
-    Both factors are reduced mod p.  Where n (p - 1)**2 < 2**53, n the inner
-    dimension, every sum of a float64 matmul is an integer below 2**53, so
-    one such product is exact.  Otherwise the factors are split into 16-bit
-    limbs; each limb product is a float64 matmul whose sums stay below
-    2**53, for inner dimensions up to 2**21.  A is taken 256 rows at a time,
-    so the limbs of a large A are never all held at once.
+    Both factors are reduced mod p, B once and each block of A as it is
+    taken.  Where n (p - 1)**2 < 2**53, n the inner dimension, every sum of a
+    float64 matmul is an integer below 2**53, so one such product per block
+    is exact; the residues go straight into float64, with no int64 copy.
+    Otherwise the factors are split into 16-bit limbs; each limb product is a
+    float64 matmul whose sums stay below 2**53, for inner dimensions up to
+    2**21.  So besides the blocks, only B's float64 copy (or its two limbs)
+    is held.
     """
+    if out is None:
+        out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
     if A.shape[1] * (p - 1) ** 2 < 1 << 53:
-        product = np.mod(A, p).astype(np.float64) @ np.mod(B, p).astype(np.float64)
-        return np.mod(product, p, out=product).astype(np.int64)
-    if A.shape[1] > 1 << 21:
-        raise ValueError(f"inner dimension {A.shape[1]} exceeds 2**21")
-    B = np.mod(B, p).astype(np.int64, copy=False)
-    b_lo, b_hi = (B & 0xFFFF).astype(np.float64), (B >> 16).astype(np.float64)
-    out = np.empty((A.shape[0], B.shape[1]), dtype=np.int64)
-    for r0 in range(0, A.shape[0], 256):
-        a = np.mod(A[r0 : r0 + 256], p).astype(np.int64, copy=False)
-        a_lo, a_hi = (a & 0xFFFF).astype(np.float64), (a >> 16).astype(np.float64)
-        hi = (a_hi @ b_hi).astype(np.int64) % p
-        mid = ((a_hi @ b_lo).astype(np.int64) + (a_lo @ b_hi).astype(np.int64)) % p
-        lo = (a_lo @ b_lo).astype(np.int64) % p
-        out[r0 : r0 + 256] = ((((hi << 16) % p + mid) << 16) % p + lo) % p
+        def residues(X):  # reduced by the int64 loop, cast to float64 entry by entry
+            return np.mod(X, p, out=np.empty(X.shape), dtype=np.int64, casting="unsafe")
+
+        b = residues(B)
+
+        def product(a):
+            x = residues(a) @ b
+            return np.mod(x, p, out=x)
+    else:
+        if A.shape[1] > 1 << 21:
+            raise ValueError(f"inner dimension {A.shape[1]} exceeds 2**21")
+        B = np.mod(B, p).astype(np.int64, copy=False)
+        b_lo, b_hi = (B & 0xFFFF).astype(np.float64), (B >> 16).astype(np.float64)
+
+        def product(a):
+            a = np.mod(a, p).astype(np.int64, copy=False)
+            a_lo, a_hi = (a & 0xFFFF).astype(np.float64), (a >> 16).astype(np.float64)
+            hi = (a_hi @ b_hi).astype(np.int64) % p
+            mid = ((a_hi @ b_lo).astype(np.int64) + (a_lo @ b_hi).astype(np.int64)) % p
+            lo = (a_lo @ b_lo).astype(np.int64) % p
+            return ((((hi << 16) % p + mid) << 16) % p + lo) % p
+    for r0 in range(0, A.shape[0], 64):
+        out[r0 : r0 + 64] = product(A[r0 : r0 + 64])
     return out
 
 

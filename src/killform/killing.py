@@ -114,28 +114,42 @@ class KillingForm:
         return f"KillingForm({what}, dim={self.matrix.dim})"
 
 
-# larger blocks are no faster; blocks of 2^20 entries raised the peak memory of
-# the M11 class decompositions by about 7 MB
-_BLOCK_ENTRIES = 1 << 18
+# A row block of a form or of its orbital data holds about _BLOCK_BYTES at
+# once: each caller counts the bytes per entry of everything it allocates for
+# the block together (_block_rows).  The product walk (BaseLocator._walk)
+# holds an int32 state, its next state and an int32 column of base-image
+# positions, _WALK_BYTES an entry; gathering the per-element values at the
+# state then holds the state and the int64 values, as many again.  Of budgets
+# from 2^18 to 2^22 bytes, larger ones raised the peak memory of the M11 class
+# decompositions (by 4 MB at 2^22) and smaller ones slowed `survey S8
+# --matrix-cap 6000` (by 13% at 2^18).
+_BLOCK_BYTES = 1 << 20
+_WALK_BYTES = 12
+
+
+def _block_rows(width: int, entry_bytes: int) -> int:
+    """The rows of `width` entries, at entry_bytes each, that fit _BLOCK_BYTES; at least one."""
+    return max(1, _BLOCK_BYTES // (width * entry_bytes))
 
 
 class _FormMatrix(IntSymMatrix):
     """K[a][b] = phi(ab) over the basis rows, formed only where it is read:
     `rows` forms the rows asked for, and `data`, the whole matrix, is formed and
-    checked on first read; `dim` costs nothing.  phi_block maps a block of basis
-    rows a to the values phi(ab), b over the basis, of a class function."""
+    checked on first read; `dim` costs nothing.  phi maps rows A and B of the
+    group (basis rows, in any order) to the values phi(ab), a in A and b in B,
+    of a class function."""
 
-    def __init__(self, basis_arr: np.ndarray, phi_block):
+    def __init__(self, basis_arr: np.ndarray, phi):
         self.basis_arr = basis_arr
-        self.phi_block = phi_block
+        self.phi = phi
         self.dim = len(basis_arr)
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
-        """The rows idx, formed in blocks of about _BLOCK_ENTRIES entries."""
+        """The rows idx, formed a block of rows at a time (_block_rows)."""
         out = np.empty((len(idx), self.dim), dtype=np.int64)
-        step = max(1, _BLOCK_ENTRIES // self.dim)
+        step = _block_rows(self.dim, _WALK_BYTES)
         for i in range(0, len(idx), step):
-            out[i:i + step] = self.phi_block(self.basis_arr[idx[i:i + step]])
+            out[i:i + step] = self.phi(self.basis_arr[idx[i:i + step]], self.basis_arr)
         return out
 
     @cached_property
@@ -143,11 +157,11 @@ class _FormMatrix(IntSymMatrix):
         return IntSymMatrix(self.rows(np.arange(self.dim))).data
 
 
-def _class_function(G: Group, per_class, basis_arr: np.ndarray):
-    """A -> per_class[class of ab] for rows a of A and b of basis_arr; the
-    caller has checked that the rows of basis_arr are elements of G."""
+def _class_function(G: Group, per_class):
+    """(A, B) -> per_class[class of ab] for rows a of A and b of B, which the
+    caller has checked are elements of G."""
     per_element = np.asarray(per_class, dtype=np.int64)[G.class_map]
-    return lambda A: per_element[G.locator.products(A, basis_arr)]
+    return lambda A, B: per_element[G.locator.products(A, B)]
 
 
 def _cycle_lengths(X: np.ndarray) -> np.ndarray:
@@ -165,8 +179,8 @@ def _cycle_lengths(X: np.ndarray) -> np.ndarray:
 
 
 def _cycle_type_function(C: ConjClass):
-    """A -> |Z(ab) ∩ C| for rows a of A and b of C, read by the cycle type of
-    ab, for a full class C of S_n."""
+    """(A, B) -> |Z(ab) ∩ C| for rows a of A and b of B, read by the cycle type
+    of ab, for a full class C of S_n."""
     types = _cycle_lengths(C.arr)
     mu = [len(c) for c in C.representative.cycles()]
     if (types != types[0]).any() or C.size != class_size(C.degree, mu):
@@ -184,7 +198,7 @@ def _cycle_type_function(C: ConjClass):
             values.append(by_type[key])
         return np.array(values, dtype=np.int64)[inverse.ravel()]
 
-    return lambda A: np.array([phi(a[C.arr]) for a in A])
+    return lambda A, B: np.array([phi(a[B]) for a in A])
 
 
 def killing_matrix(G: Group | None, C: ConjClass, cap: int = MATRIX_CAP) -> KillingForm:
@@ -206,7 +220,7 @@ def killing_matrix(G: Group | None, C: ConjClass, cap: int = MATRIX_CAP) -> Kill
         in_class = G.class_map[G.locator.locate(C.arr)]
         if (in_class != in_class[0]).any() or C.size != G.classes()[in_class[0]].size:
             raise ValueError(f"{C!r} is not a conjugacy class of {G.name}")
-        phi = _class_function(G, characters.conjugation_character(G, C).values, C.arr)
+        phi = _class_function(G, characters.conjugation_character(G, C).values)
     return KillingForm(_FormMatrix(C.arr, phi), C.arr, group=G, conj_class=C)
 
 
@@ -222,7 +236,7 @@ def universal_killing(G: Group, cap: int = MATRIX_CAP, include_identity: bool = 
     m = len(basis_arr)
     if m > cap:
         raise CapExceeded(f"universal basis size {m} exceeds matrix cap {cap}")
-    phi = _class_function(G, characters.conjugation_character(G).values, basis_arr)
+    phi = _class_function(G, characters.conjugation_character(G).values)
     return KillingForm(_FormMatrix(basis_arr, phi), basis_arr, group=G, universal=True,
                        includes_identity=include_identity)
 
@@ -261,7 +275,9 @@ class _OrbitalData:
     The class sums A_j[s, t] = #{h in C_j : h x_s h^-1 in O_t} are the sums
     over b in O_t of tau[moved[s, b], j], with moved[s, b] the index in C of
     c_s^-1 b c_s (formed on first read), so they are linear in tau's columns:
-    class_sum(u) = sum_j u[j] A_j is one r x r, formed from tau u alone."""
+    class_sum(u) = sum_j u[j] A_j is one r x r, formed from tau u alone.
+    moved is held in the narrowest unsigned dtype that indexes C: below
+    65,536 members that is uint16, r * |C| * 2 bytes."""
 
     def __init__(self, first: np.ndarray, orbit_of: np.ndarray, w: np.ndarray, S: np.ndarray,
                  tau: np.ndarray, first_rows: np.ndarray, starts: np.ndarray, conjugated):
@@ -277,9 +293,15 @@ class _OrbitalData:
         """sum_j u[j] A_j, reduced over the orbits a block of rows s at a time."""
         values, moved = self.tau @ u, self.moved
         out = np.empty((len(moved), len(self.starts)), dtype=np.int64)
-        step = max(1, _BLOCK_ENTRIES // moved.shape[1])
+        # the gathered int64 values, in one buffer for every block, and
+        # np.take's intp copy of the narrow index
+        step = _block_rows(moved.shape[1], 16)
+        gathered = np.empty((min(step, len(moved)), moved.shape[1]), dtype=np.int64)
         for s in range(0, len(moved), step):
-            out[s:s + step] = np.add.reduceat(values[moved[s:s + step]], self.starts, axis=1)
+            block = moved[s:s + step]
+            # every index is in range; under mode="raise" np.take would buffer its output
+            np.take(values, block, out=gathered[:len(block)], mode="clip")
+            out[s:s + step] = np.add.reduceat(gathered[:len(block)], self.starts, axis=1)
         return out
 
     @cached_property
@@ -298,9 +320,9 @@ class _OrbitalData:
 
 def _orbital_data(K: KillingForm) -> _OrbitalData | None:
     """The orbital form, tau and first rows of a class form built by
-    killing_matrix with its group (read through KillingForm.orbital); None
-    where C's rows are not G's members of that class in G's order, or S would
-    not fit in int64.
+    killing_matrix with its group (read through KillingForm.orbital), which
+    has checked that C's rows, in any order, are a class of G; None where S
+    would not fit in int64.
 
     Only the r rows of K at the x_s are read, r * |C| entries.  K commutes
     with conjugation by construction: K[a][b] = phi(ab), and phi is read per
@@ -318,11 +340,8 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
     b in O_t of tau[c_s^-1 b c_s, j]: r * |C| products, not r * |G|.
     """
     G, C = K.group, K.conj_class
-    members = np.flatnonzero(G.class_map == G.class_index_of(C.representative))
-    if not np.array_equal(G.arr[members], C.arr):
-        return None
     in_C = np.full(G.order, -1, dtype=np.intp)
-    in_C[members] = np.arange(C.size)
+    in_C[G.locator.locate(C.arr)] = np.arange(C.size)
     # the Z(g)-orbits, each labelled by its first member, and S on them
     image = in_C[G.locator.conjugates(C.arr[:1])[0]]  # h -> h g h^-1, in C
     t = G.arr[np.unique(image, return_index=True)[1]]  # t[a], the first h with h g h^-1 = a
@@ -335,11 +354,12 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
     g_row = K.matrix.rows(first[:1])
     if C.size ** 2 * max(int(g_row.max()), -int(g_row.min())) >= 1 << 62:
         return None  # S would not fit in int64
-    step = max(1, _BLOCK_ENTRIES // C.size)
+    # the rows at the x_s are formed with their columns in orbit order
+    phi, x, in_orbits = K.matrix.phi, C.arr[first], C.arr[by_orbit]
+    step = _block_rows(C.size, _WALK_BYTES)
     S = np.empty((r, r), dtype=np.int64)
     for s in range(0, r, step):
-        rows = K.matrix.rows(first[s:s + step])
-        S[s:s + step] = np.add.reduceat(rows[:, by_orbit], starts, axis=1)
+        S[s:s + step] = np.add.reduceat(phi(x[s:s + step], in_orbits), starts, axis=1)
     S *= w[:, None]
     if not np.array_equal(S, S.T):
         return None
@@ -349,9 +369,10 @@ def _orbital_data(K: KillingForm) -> _OrbitalData | None:
     def conjugated() -> np.ndarray:
         # row s (c_s^-1 = t[x_s]^-1) and column b (the members in orbit order): c_s^-1 b c_s
         inverses, members = np.argsort(t[first], axis=1).astype(t.dtype), t[by_orbit]
-        moved = np.empty((r, C.size), dtype=np.intp)
+        narrow = image.astype(np.min_scalar_type(C.size - 1))
+        moved = np.empty((r, C.size), dtype=narrow.dtype)
         for s in range(0, r, step):
-            moved[s:s + step] = image[G.locator.products(inverses[s:s + step], members)]
+            moved[s:s + step] = narrow[G.locator.products(inverses[s:s + step], members)]
         return moved
 
     return _OrbitalData(first, orbit_of, w, S, tau, np.add.reduceat(tau[by_orbit], starts).T,

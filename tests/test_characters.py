@@ -715,7 +715,8 @@ def test_the_nullity_mod_p_of_the_product(monkeypatch, blocks):
     products = []
     matmul_mod = characters._matmul_mod
     monkeypatch.setattr(characters, "_matmul_mod",
-                        lambda A, B, p: products.append(A.shape) or matmul_mod(A, B, p))
+                        lambda A, B, p, out=None: products.append(A.shape)
+                        or matmul_mod(A, B, p, out=out))
     lams = [-1, 1, 2]
     assert characters._nullity_mod_p(S, w, lams) == \
         np.isin(a + b, lams).sum() + np.isin(a - b, lams).sum()

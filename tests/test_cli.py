@@ -356,6 +356,34 @@ def test_main_survey_md(capsys):
     assert "| 2A | 15 | 3 |" in out
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", recording)
+    cli._parser.cache_clear()
+    try:
+        assert main(["survey", "A5"]) == 0 and main(["casimir", "A5", "3A"]) == 0
+        assert built.count("killform") == 1
+        parser = cli._parser()
+        for argv in (["survey", "A5", "--jobs", "2"], ["decompose", "A5", "2A"],
+                     ["casimir", "A5", "3A"], ["spectrogram", "A5", "--format", "csv"]):
+            assert parser.parse_args(argv).command == argv[0]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_help:
+            main(["--help"])
+        assert exit_help.value.code == 0
+        usage = capsys.readouterr().out
+        assert all(c in usage for c in ("survey", "decompose", "casimir", "spectrogram"))
+        assert built.count("killform") == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_main_unknown_group(capsys):
     code = main(["survey", "Q8"])
     assert code == 2

@@ -634,6 +634,19 @@ def test_matmul_mod_is_exact_below_2_31(rows, inner):
 
 
 @pytest.mark.parametrize("p", [4194301, 2**31 - 1])
+def test_matmul_mod_in_place_over_several_row_blocks(p):
+    # 200 rows: four blocks of A, each overwritten by its product after it
+    # is read; one float64 product per block mod the 22-bit prime, the
+    # limbs mod the 31-bit one
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, p, size=(200, 200))
+    B = rng.integers(-p, p, size=(200, 200))
+    want = (A.astype(object) @ B.astype(object)) % p
+    assert _matmul_mod(A, B, p, out=A) is A
+    assert A.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("p", [4194301, 2**31 - 1])
 @pytest.mark.parametrize("past", [False, True])
 def test_matmul_mod_is_exact_at_its_float_threshold(p, past):
     # the least inner dimension n with n (p - 1)^2 >= 2^53 (513 and 1): one

@@ -624,7 +624,7 @@ def test_orbital_lambda_and_components_on_random_groups(G):
 
 @pytest.mark.parametrize("spec", ["S4", "A5", "PSL(2,7)"])
 def test_rows_of_a_lazy_form_equal_the_dense_rows(spec, monkeypatch):
-    monkeypatch.setattr(killing, "_BLOCK_ENTRIES", 100)  # a block of one or a few rows
+    monkeypatch.setattr(killing, "_BLOCK_BYTES", 1)  # every block is one row
     G = build_named_group(spec)
     forms = [killing_matrix(G, C) for C in G.classes()[1:]]
     forms += [universal_killing(G), universal_killing(G, include_identity=True)]
@@ -638,6 +638,77 @@ def test_rows_of_a_lazy_form_equal_the_dense_rows(spec, monkeypatch):
         assert "data" not in vars(K.matrix)
         assert np.array_equal(rows, K.matrix.data[idx]), K
         assert np.array_equal(every, K.matrix.data), K
+
+
+@pytest.mark.parametrize("spec", ["A5", "PSL(2,7)", f"file:{M11}"])
+def test_one_row_blocks_give_the_same_orbital_data_and_reports(spec, monkeypatch):
+    G = build_named_group(spec)
+    classes = G.classes()[1:] if G.order < 1000 else [class_by_label(G, "5A")]
+    before = [killing._orbital_data(killing_matrix(G, C)) for C in classes]
+    sums_before = [class_sums(orbital) for orbital in before]
+    reports = [cmd_survey(spec).render("md")] if G.order < 1000 else []
+    reports += [cli.cmd_decompose(spec, C.label).render("md") for C in classes]
+    monkeypatch.setattr(killing, "_BLOCK_BYTES", 1)  # every block is one row
+    for C, orbital, sums in zip(classes, before, sums_before):
+        one_row = killing._orbital_data(killing_matrix(G, C))
+        assert np.array_equal(one_row.S, orbital.S), (spec, C.label)
+        assert np.array_equal(one_row.moved, orbital.moved), (spec, C.label)
+        assert np.array_equal(class_sums(one_row), sums), (spec, C.label)
+    again = [cmd_survey(spec).render("md")] if G.order < 1000 else []
+    assert again + [cli.cmd_decompose(spec, C.label).render("md") for C in classes] == reports
+
+
+@pytest.mark.parametrize("spec, label, dtype", [("A5", "3A", np.uint8),
+                                                (f"file:{M11}", "5A", np.uint16)])
+def test_moved_is_held_in_the_narrowest_index_dtype(spec, label, dtype):
+    G = build_named_group(spec)
+    C = class_by_label(G, label)
+    orbital = killing._orbital_data(killing_matrix(G, C))
+    tracemalloc.start()
+    try:
+        moved = orbital.moved
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert moved.dtype == dtype
+    assert moved.shape == (len(orbital.w), C.size)
+    # r * |C| * itemsize, and nothing else kept from forming it
+    assert moved.nbytes == len(orbital.w) * C.size * np.dtype(dtype).itemsize
+    assert held < moved.nbytes + 4096
+
+
+def test_the_decomposition_of_m11_5a_stays_within_its_memory_bound():
+    # |C| = 1584 on r = 320 orbits: the orbital data, the eigensolve and the
+    # class certificate, with the group and its table built beforehand
+    G = build_named_group(f"file:{M11}")
+    C, T = class_by_label(G, "5A"), character_table(G)
+    characters.eigenspace_decomposition(killing_matrix(G, C), T)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        characters.eigenspace_decomposition(killing_matrix(G, C), T)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000  # 9.9 MB while S was formed 165 rows at a time
+
+
+@pytest.mark.parametrize("spec, label", [("A5", "3A"), ("PSL(2,7)", "7A")])
+def test_a_class_in_another_order_has_the_same_orbital_answers(spec, label, dense_fills):
+    G = build_named_group(spec)
+    C = class_by_label(G, label)
+    reversed_C = ConjClass(C.arr[::-1].copy(), label=label)
+    T = character_table(G)
+
+    def answers(D):
+        K = killing_matrix(G, D)
+        decomposition = characters.eigenspace_decomposition(K, T)
+        return (str(casimir(K)), analyze(K).analysis,
+                [(round(e.value, 9), e.mults, e.integral, e.certified)
+                 for e in decomposition.entries])
+
+    assert answers(reversed_C) == answers(C)
+    assert dense_fills == []
 
 
 def test_dim_and_repr_fill_nothing(dense_fills):
